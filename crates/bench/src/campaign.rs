@@ -584,7 +584,6 @@ impl CampaignRunner {
                 traversal_computes: after.traversal_computes - before.traversal_computes,
                 traversal_reuses: after.traversal_reuses - before.traversal_reuses,
                 subtree_views: after.subtree_views - before.subtree_views,
-                subtree_clones: after.subtree_clones - before.subtree_clones,
                 worker_lost: after.worker_lost - before.worker_lost,
                 reroutes: after.reroutes - before.reroutes,
             },
@@ -1344,13 +1343,7 @@ mod tests {
         runner.run(&spec).unwrap();
         let warm = runner.run(&spec).unwrap();
         assert!(warm.stats.subtree_views > 0, "{:?}", warm.stats);
-        assert_eq!(
-            warm.stats.subtree_clones, 0,
-            "the warm hot path must not clone subtrees: {:?}",
-            warm.stats
-        );
-        // LiuExact rides the view path too — zero clones on warm campaigns
-        // for all three seq algos
+        // LiuExact rides the view path too, like the two postorders
         for seq in [
             SeqAlgo::LiuExact,
             SeqAlgo::BestPostorder,
@@ -1360,11 +1353,6 @@ mod tests {
             runner.run(&spec).unwrap();
             let warm = runner.run(&spec).unwrap();
             assert!(warm.stats.subtree_views > 0, "{seq:?}: {:?}", warm.stats);
-            assert_eq!(
-                warm.stats.subtree_clones, 0,
-                "{seq:?} must not clone subtrees: {:?}",
-                warm.stats
-            );
         }
     }
 

@@ -928,13 +928,12 @@ pub fn serve_jsonl(input: &str, workers: usize, default_platform: Option<&Platfo
 /// Metric names mirrored from [`treesched_serve::ServeStats`] into the
 /// batch snapshot — the same spellings the serve daemon registers, so
 /// scrapes of either surface read identically.
-const ENGINE_MIRRORS: [&str; 8] = [
+const ENGINE_MIRRORS: [&str; 7] = [
     "engine_requests_total",
     "engine_batches_total",
     "traversal_computes_total",
     "traversal_reuses_total",
     "subtree_views_total",
-    "subtree_clones_total",
     "worker_lost_total",
     "reroutes_total",
 ];
@@ -995,7 +994,6 @@ pub fn serve_jsonl_with_metrics(
         stats.traversal_computes,
         stats.traversal_reuses,
         stats.subtree_views,
-        stats.subtree_clones,
         stats.worker_lost,
         stats.reroutes,
     ]) {

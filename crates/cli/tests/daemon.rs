@@ -10,9 +10,12 @@ use treesched_cli::{dispatch, serve_jsonl};
 
 const BIN: &str = env!("CARGO_BIN_EXE_treesched");
 
-/// Generates the fixture trees and returns the directory.
-fn fixture_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join("treesched-daemon-it");
+/// Generates the fixture trees in a fresh directory private to the test
+/// `name` and returns it: tests run in parallel and rewrite their
+/// fixtures, so no two may share a directory.
+fn fixture_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("treesched-daemon-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let gen = |args: &[&str]| {
         let v: Vec<String> = args.iter().map(|s| s.to_string()).collect();
@@ -69,7 +72,7 @@ fn spawn_client(socket: &Path, input: &str) -> Child {
 
 #[test]
 fn socket_daemon_serves_two_client_processes_batch_identically() {
-    let dir = fixture_dir();
+    let dir = fixture_dir("two-clients");
     let socket = dir.join(format!("daemon-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&socket);
     let input_a = request_stream(&dir, "a");
@@ -127,7 +130,7 @@ fn socket_daemon_serves_two_client_processes_batch_identically() {
 
 #[test]
 fn stdio_daemon_round_trips_through_the_real_binary() {
-    let dir = fixture_dir();
+    let dir = fixture_dir("stdio");
     let input = request_stream(&dir, "s");
     let expected = serve_jsonl(&input, 2, None);
     let mut child = Command::new(BIN)
@@ -159,7 +162,7 @@ fn stdio_daemon_round_trips_through_the_real_binary() {
 /// and no worker died. The `metrics` subcommand is the transport.
 #[test]
 fn metrics_subcommand_reads_a_conserving_live_snapshot() {
-    let dir = fixture_dir();
+    let dir = fixture_dir("metrics");
     let socket = dir.join(format!("metrics-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&socket);
     let input = request_stream(&dir, "m");
@@ -236,7 +239,7 @@ fn metrics_subcommand_reads_a_conserving_live_snapshot() {
 #[cfg(unix)]
 #[test]
 fn sigterm_drains_the_listening_daemon_and_flushes_metrics() {
-    let dir = fixture_dir();
+    let dir = fixture_dir("sigterm");
     let socket = dir.join(format!("sigterm-{}.sock", std::process::id()));
     let metrics_file = dir.join(format!("sigterm-{}.metrics.json", std::process::id()));
     let _ = std::fs::remove_file(&socket);

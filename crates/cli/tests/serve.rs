@@ -30,9 +30,12 @@ fn run(args: &[&str]) -> String {
     dispatch(&v).expect("command succeeds")
 }
 
-/// Generates the fixture trees and returns the instantiated request stream.
-fn requests(template: &str) -> String {
-    let dir = std::env::temp_dir().join("treesched-serve-golden");
+/// Generates the fixture trees in a fresh directory private to the test
+/// `name` and returns that directory: tests run in parallel and rewrite
+/// their fixtures, so no two may share one.
+fn fixtures(name: &str) -> String {
+    let dir = std::env::temp_dir().join(format!("treesched-serve-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let dir = dir.to_string_lossy().into_owned();
     run(&["gen", "fork", "2", "3", "-o", &format!("{dir}/fork.tree")]);
@@ -44,7 +47,12 @@ fn requests(template: &str) -> String {
         "-o",
         &format!("{dir}/spider.tree"),
     ]);
-    template.replace("{DIR}", &dir)
+    dir
+}
+
+/// The request stream `template` over the test's own fixture trees.
+fn requests(template: &str, test: &str) -> String {
+    template.replace("{DIR}", &fixtures(test))
 }
 
 fn check_golden(got: &str, golden: &str, golden_file: &str) {
@@ -62,13 +70,13 @@ fn check_golden(got: &str, golden: &str, golden_file: &str) {
 
 #[test]
 fn serve_responses_match_the_golden_schema() {
-    let got = serve_jsonl(&requests(REQUESTS_IN), 2, None);
+    let got = serve_jsonl(&requests(REQUESTS_IN, "flat-golden"), 2, None);
     check_golden(&got, RESPONSES_GOLDEN, "serve_responses.golden.jsonl");
 }
 
 #[test]
 fn hetero_serve_responses_match_the_golden_schema() {
-    let got = serve_jsonl(&requests(HETERO_REQUESTS_IN), 2, None);
+    let got = serve_jsonl(&requests(HETERO_REQUESTS_IN, "hetero-golden"), 2, None);
     check_golden(
         &got,
         HETERO_RESPONSES_GOLDEN,
@@ -78,7 +86,7 @@ fn hetero_serve_responses_match_the_golden_schema() {
 
 #[test]
 fn comm_serve_responses_match_the_golden_schema() {
-    let got = serve_jsonl(&requests(COMM_REQUESTS_IN), 2, None);
+    let got = serve_jsonl(&requests(COMM_REQUESTS_IN, "comm-golden"), 2, None);
     check_golden(
         &got,
         COMM_RESPONSES_GOLDEN,
@@ -100,7 +108,7 @@ fn daemon_stdio_stream_reordered_matches_the_batch_goldens() {
         (HETERO_REQUESTS_IN, HETERO_RESPONSES_GOLDEN),
         (COMM_REQUESTS_IN, COMM_RESPONSES_GOLDEN),
     ] {
-        let input = requests(template);
+        let input = requests(template, "daemon-stdio");
         let daemon = Daemon::new(
             treesched_core::SchedulerRegistry::standard(),
             DaemonConfig::default(),
@@ -120,7 +128,7 @@ fn daemon_stdio_stream_reordered_matches_the_batch_goldens() {
 #[test]
 fn serve_output_is_byte_identical_across_worker_counts() {
     for template in [REQUESTS_IN, HETERO_REQUESTS_IN, COMM_REQUESTS_IN] {
-        let input = requests(template);
+        let input = requests(template, "worker-counts");
         let reference = serve_jsonl(&input, 1, None);
         for workers in [2usize, 4] {
             assert_eq!(
@@ -139,7 +147,7 @@ fn hetero_responses_round_trip_through_the_request_parser() {
     // back into the platform that was requested (comm matrices included —
     // an all-zero matrix round-trips as the matrix-free platform it is)
     for template in [HETERO_REQUESTS_IN, COMM_REQUESTS_IN] {
-        check_round_trip(&requests(template));
+        check_round_trip(&requests(template, "round-trip"));
     }
 }
 
@@ -227,9 +235,7 @@ mod metrics_identity {
             codes in proptest::collection::vec(0usize..6, 1..20),
             workers in 1usize..4,
         ) {
-            // `requests("{DIR}")` generates the fixture trees and hands
-            // back the directory itself
-            let dir = requests("{DIR}");
+            let dir = fixtures("metrics-identity");
             let input: String = codes
                 .iter()
                 .enumerate()
@@ -261,12 +267,11 @@ mod metrics_identity {
 /// and the snapshot lands in the file with the engine counters filled.
 #[test]
 fn serve_metrics_out_writes_the_snapshot_beside_identical_output() {
-    let input = requests(REQUESTS_IN);
-    let dir = std::env::temp_dir().join("treesched-serve-golden");
+    let dir = std::path::PathBuf::from(fixtures("metrics-out"));
+    let input = REQUESTS_IN.replace("{DIR}", &dir.to_string_lossy());
     let req_file = dir.join("metrics_requests.jsonl");
     std::fs::write(&req_file, &input).unwrap();
     let metrics_file = dir.join("metrics_snapshot.json");
-    let _ = std::fs::remove_file(&metrics_file);
     let out = run(&[
         "serve",
         req_file.to_str().unwrap(),

@@ -29,8 +29,11 @@ fn fixture(name: &str) -> String {
     p.to_string_lossy().into_owned()
 }
 
-fn temp_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join("treesched-tree-it");
+/// A fresh scratch directory private to the test `name`: tests run in
+/// parallel, so no two may write into the same one.
+fn temp_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("treesched-tree-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -63,7 +66,7 @@ fn convert_newick_fixture_is_byte_stable() {
 
 #[test]
 fn converted_mtx_schedules_like_any_tree() {
-    let dir = temp_dir();
+    let dir = temp_dir("convert-mtx");
     let tree = dir.join("band8.tree");
     let tree = tree.to_string_lossy();
     let wrote = ok(&[
@@ -120,7 +123,7 @@ fn to_dot_styles_nodes_and_edges() {
 
 #[test]
 fn ingest_errors_carry_path_and_position() {
-    let dir = temp_dir();
+    let dir = temp_dir("ingest-errors");
     let bad = dir.join("bad.nwk");
     std::fs::write(&bad, "(a,b); extra").unwrap();
     let bad = bad.to_string_lossy();
@@ -149,7 +152,7 @@ fn ingest_errors_carry_path_and_position() {
 /// machine-independent).
 #[test]
 fn to_requests_through_real_serve_binary_matches_golden() {
-    let dir = temp_dir();
+    let dir = temp_dir("to-requests");
     let tree = dir.join("star9.tree").to_string_lossy().into_owned();
     let requests = ok(&[
         "tree",

@@ -66,8 +66,7 @@ pub fn memory_lower_bound_trivial(tree: &TaskTree) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::heuristics::Heuristic;
-    use crate::schedule::evaluate;
+    use crate::api::{Platform, Request, SchedulerRegistry};
     use treesched_model::TaskTree;
 
     #[test]
@@ -98,9 +97,11 @@ mod tests {
     #[test]
     fn all_heuristics_respect_bounds() {
         let t = TaskTree::complete(2, 6, 1.0, 2.0, 0.5);
-        for h in Heuristic::ALL {
+        for entry in SchedulerRegistry::standard().campaign() {
+            let h = entry.name();
             for p in [2u32, 4, 8] {
-                let ev = evaluate(&t, &h.schedule(&t, p));
+                let req = Request::new(&t, Platform::new(p));
+                let ev = entry.scheduler().schedule_once(&req).unwrap().eval;
                 assert!(
                     ev.makespan >= makespan_lower_bound(&t, p) - 1e-9,
                     "{h} p={p}"

@@ -1,13 +1,18 @@
-//! The paper's four scheduling heuristics (§5).
+//! The paper's subtree heuristics (§5.1) and the sequential sub-algorithm
+//! choice shared by every scheduler.
 //!
-//! | Heuristic           | Focus     | Memory guarantee        | Makespan guarantee |
-//! |---------------------|-----------|-------------------------|--------------------|
-//! | [`par_subtrees`]    | memory    | `≤ (p+1)·M_seq`         | `p`-approx         |
-//! | [`par_subtrees_optim`] | balanced | (weaker than above)  | better in practice |
-//! | [`par_inner_first`] | balanced  | unbounded (Fig. 4)      | `(2 − 1/p)`-approx |
-//! | [`par_deepest_first`] | makespan | unbounded (Fig. 5)    | `(2 − 1/p)`-approx |
+//! | Registry name             | Focus    | Memory guarantee   | Makespan guarantee | Code |
+//! |---------------------------|----------|--------------------|--------------------|------|
+//! | `ParSubtrees`             | memory   | `≤ (p+1)·M_seq`    | `p`-approx         | [`par_subtrees`] |
+//! | `ParSubtreesOptim`        | balanced | (weaker than above) | better in practice | [`par_subtrees_optim`] |
+//! | `ParInnerFirst`           | balanced | unbounded (Fig. 4) | `(2 − 1/p)`-approx | [`list_schedule`](crate::listsched::list_schedule) |
+//! | `ParDeepestFirst`         | makespan | unbounded (Fig. 5) | `(2 − 1/p)`-approx | [`list_schedule`](crate::listsched::list_schedule) |
+//!
+//! All four are reached by name through
+//! [`crate::api::SchedulerRegistry::standard`]; the two list schedulers are
+//! priority keys over the one event loop, built in [`crate::api`].
 
-use crate::listsched::{list_schedule, TotalF64};
+use crate::listsched::Speeds;
 use crate::schedule::{Placement, Schedule};
 use crate::split::split_subtrees_with_work;
 use treesched_model::{NodeId, SubtreeView, TaskTree};
@@ -67,9 +72,7 @@ impl SeqAlgo {
 ///
 /// Every sequential sub-algorithm — the two postorders *and*
 /// [`SeqAlgo::LiuExact`] — runs on a borrowed [`SubtreeView`] over these
-/// buffers instead of cloning each subtree into a fresh `TaskTree`, so a
-/// warm scratch never clones. The two counters record which path ran;
-/// `clones` stays 0 unless a caller bypasses the view entry points.
+/// buffers instead of cloning each subtree into a fresh `TaskTree`.
 #[derive(Clone, Debug, Default)]
 pub struct SubtreeScratch {
     /// DFS work stack for [`TaskTree::subtree_nodes_into`].
@@ -82,8 +85,10 @@ pub struct SubtreeScratch {
     view: ViewScratch,
     /// Chain storage of the view-based exact algorithm.
     liu: LiuScratch,
+    /// Processor indices of mixed-speed platforms, fastest first (see
+    /// [`rank_procs`]).
+    procs: Vec<u32>,
     views: u64,
-    clones: u64,
 }
 
 impl SubtreeScratch {
@@ -95,12 +100,6 @@ impl SubtreeScratch {
     /// Number of subtrees scheduled through a borrowed view (no clone).
     pub fn subtree_views(&self) -> u64 {
         self.views
-    }
-
-    /// Number of subtrees scheduled through a cloned `TaskTree`
-    /// (the [`SeqAlgo::LiuExact`] fallback).
-    pub fn subtree_clones(&self) -> u64 {
-        self.clones
     }
 }
 
@@ -152,22 +151,22 @@ fn schedule_subtree(
     t
 }
 
-/// Schedules `nodes` (an id-set filter over the tree, in the order induced
-/// by `global_order`) sequentially on `proc` (of the given `speed`) from
-/// `start`.
-#[allow(clippy::too_many_arguments)]
-fn schedule_filtered(
+/// Finishes a subtree schedule: every node not yet `placed` runs after
+/// `start`, sequentially on `proc` (the fastest processor), in the order of
+/// the whole-tree traversal `global`.
+fn schedule_remainder(
     tree: &TaskTree,
-    global_order: &[NodeId],
-    exclude: &[bool],
+    global: &[NodeId],
+    placed: &[bool],
+    speeds: Speeds<'_>,
     proc: u32,
-    speed: f64,
     start: f64,
-    placements: &mut [Placement],
-) -> f64 {
+    mut placements: Vec<Placement>,
+) -> Schedule {
+    let speed = speeds.speed(proc);
     let mut t = start;
-    for &v in global_order {
-        if !exclude[v.index()] {
+    for &v in global {
+        if !placed[v.index()] {
             let w = tree.work(v) / speed;
             placements[v.index()] = Placement {
                 proc,
@@ -177,7 +176,10 @@ fn schedule_filtered(
             t += w;
         }
     }
-    t
+    Schedule {
+        processors: speeds.count(),
+        placements,
+    }
 }
 
 fn blank_placements(n: usize) -> Vec<Placement> {
@@ -191,123 +193,83 @@ fn blank_placements(n: usize) -> Vec<Placement> {
     ]
 }
 
+/// On [`Speeds::Per`], fills `procs` with the processor indices in
+/// placement priority order: non-increasing speed, ties by index (stable).
+/// The fastest processor comes first — it receives the heaviest subtree
+/// and the sequential remainder. Read it through [`ranked`].
+fn rank_procs(speeds: Speeds<'_>, procs: &mut Vec<u32>) {
+    if let Speeds::Per(s) = speeds {
+        procs.clear();
+        procs.extend(0..s.len() as u32);
+        procs.sort_by(|&a, &b| s[b as usize].total_cmp(&s[a as usize]));
+    }
+}
+
+/// The processor of placement rank `k` (0 = fastest) after [`rank_procs`];
+/// on [`Speeds::Unit`] every processor ties, so it is `k` itself.
+fn ranked(speeds: Speeds<'_>, procs: &[u32], k: usize) -> u32 {
+    match speeds {
+        Speeds::Unit(_) => k as u32,
+        Speeds::Per(_) => procs[k],
+    }
+}
+
+/// Sorts subtree roots by non-increasing subtree weight `W`, ties by id.
+fn sort_heaviest_first(roots: &mut [NodeId], subtree_w: &[f64]) {
+    roots.sort_by(|&a, &b| {
+        subtree_w[b.index()]
+            .total_cmp(&subtree_w[a.index()])
+            .then(a.cmp(&b))
+    });
+}
+
 /// **ParSubtrees** (paper Algorithm 1): split the tree with
 /// [`split_subtrees`](crate::split::split_subtrees), process the `q ≤ p`
-/// chosen subtrees concurrently
-/// (each with the sequential memory-optimal algorithm), then process the
-/// remaining nodes sequentially.
+/// chosen subtrees concurrently (each with the sequential memory-optimal
+/// algorithm `seq`), then process the remaining nodes sequentially in the
+/// order of `global`, the whole-tree traversal produced by `seq`.
+///
+/// The split reasons in platform-independent *work* units; placement is
+/// speed-aware. On [`Speeds::Unit`] the `k`-th subtree of the split runs on
+/// processor `k`. On [`Speeds::Per`] the subtrees are matched
+/// heaviest-to-fastest (`k`-th heaviest onto the `k`-th fastest processor,
+/// each task running for `w / speed`). The remainder runs on the fastest
+/// processor. `subtree_w` is `tree.subtree_work()` and `sub` holds reusable
+/// buffers, so a warm caller does not re-allocate them.
 ///
 /// Guarantees (paper §5.1): peak memory `≤ (p+1)·M_seq`; makespan is a
 /// `p`-approximation and is optimal among all `ParSubtrees`-style splittings
 /// (Lemma 1).
-pub fn par_subtrees(tree: &TaskTree, p: u32, seq: SeqAlgo) -> Schedule {
-    let global = seq.traversal(tree).order;
-    par_subtrees_with_order(tree, p, seq, &global)
-}
-
-/// [`par_subtrees`] with a caller-supplied whole-tree traversal `global`
-/// (the order produced by `seq` on `tree`), so experiment sweeps can reuse
-/// one traversal across processor counts.
-pub fn par_subtrees_with_order(
+///
+/// # Panics
+///
+/// Panics when the processor count is 0.
+pub fn par_subtrees(
     tree: &TaskTree,
-    p: u32,
-    seq: SeqAlgo,
-    global: &[NodeId],
-) -> Schedule {
-    let subtree_w = tree.subtree_work();
-    let mut sub = SubtreeScratch::new();
-    par_subtrees_with_order_scratch(tree, p, seq, global, &subtree_w, &mut sub)
-}
-
-/// [`par_subtrees_with_order`] with caller-supplied subtree weights
-/// (`tree.subtree_work()`) and reusable buffers — the allocation-free entry
-/// point used by the engine's warm path.
-pub fn par_subtrees_with_order_scratch(
-    tree: &TaskTree,
-    p: u32,
+    speeds: Speeds<'_>,
     seq: SeqAlgo,
     global: &[NodeId],
     subtree_w: &[f64],
     sub: &mut SubtreeScratch,
 ) -> Schedule {
+    let p = speeds.count();
     assert!(p > 0, "need at least one processor");
-    let split = split_subtrees_with_work(tree, p as usize, subtree_w);
+    let mut split = split_subtrees_with_work(tree, p as usize, subtree_w);
+    if let Speeds::Per(_) = speeds {
+        sort_heaviest_first(&mut split.parallel_roots, subtree_w);
+    }
+    rank_procs(speeds, &mut sub.procs);
     let n = tree.len();
     let mut placements = blank_placements(n);
     let mut in_parallel = vec![false; n];
     let mut t0 = 0.0f64;
     for (k, &r) in split.parallel_roots.iter().enumerate() {
-        let fin = schedule_subtree(
-            tree,
-            r,
-            k as u32,
-            1.0,
-            0.0,
-            seq,
-            &mut placements,
-            &mut in_parallel,
-            sub,
-        );
-        t0 = t0.max(fin);
-    }
-    // Sequential remainder (popped nodes + surplus subtrees), in the
-    // memory-minimizing global order restricted to the remaining nodes.
-    schedule_filtered(tree, global, &in_parallel, 0, 1.0, t0, &mut placements);
-    Schedule {
-        processors: p,
-        placements,
-    }
-}
-
-/// Processor indices of `speeds` in placement priority order:
-/// non-increasing speed, ties by index (stable). The fastest processor
-/// comes first — it receives the heaviest subtree and the sequential
-/// remainder.
-fn procs_by_speed(speeds: &[f64]) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..speeds.len() as u32).collect();
-    order.sort_by(|&a, &b| speeds[b as usize].total_cmp(&speeds[a as usize]));
-    order
-}
-
-/// [`par_subtrees_with_order_scratch`] for mixed-speed processors: the
-/// split (which reasons in platform-independent *work* units) is unchanged,
-/// but placement is speed-aware — parallel subtrees are matched
-/// heaviest-to-fastest (k-th heaviest subtree onto the k-th fastest
-/// processor, each task running for `w / speed`), and the sequential
-/// remainder runs on the fastest processor. On equal speeds this would
-/// reproduce the uniform path up to rounding; the [`crate::api`] layer
-/// keeps equal-speed platforms on the historical unit-time + rescale route
-/// for bit-identity and routes only genuinely mixed speeds here.
-pub fn par_subtrees_hetero_with_order_scratch(
-    tree: &TaskTree,
-    speeds: &[f64],
-    seq: SeqAlgo,
-    global: &[NodeId],
-    subtree_w: &[f64],
-    sub: &mut SubtreeScratch,
-) -> Schedule {
-    let p = speeds.len() as u32;
-    assert!(p > 0, "need at least one processor");
-    let split = split_subtrees_with_work(tree, p as usize, subtree_w);
-    let mut roots = split.parallel_roots.clone();
-    // heaviest subtree first, ties by id for determinism
-    roots.sort_by(|&a, &b| {
-        subtree_w[b.index()]
-            .total_cmp(&subtree_w[a.index()])
-            .then(a.cmp(&b))
-    });
-    let procs = procs_by_speed(speeds);
-    let n = tree.len();
-    let mut placements = blank_placements(n);
-    let mut in_parallel = vec![false; n];
-    let mut t0 = 0.0f64;
-    for (k, &r) in roots.iter().enumerate() {
-        let proc = procs[k];
+        let proc = ranked(speeds, &sub.procs, k);
         let fin = schedule_subtree(
             tree,
             r,
             proc,
-            speeds[proc as usize],
+            speeds.speed(proc),
             0.0,
             seq,
             &mut placements,
@@ -316,59 +278,41 @@ pub fn par_subtrees_hetero_with_order_scratch(
         );
         t0 = t0.max(fin);
     }
-    let fastest = procs[0];
-    schedule_filtered(
+    // sequential remainder: popped nodes and surplus subtrees
+    schedule_remainder(
         tree,
         global,
         &in_parallel,
-        fastest,
-        speeds[fastest as usize],
+        speeds,
+        ranked(speeds, &sub.procs, 0),
         t0,
-        &mut placements,
-    );
-    Schedule {
-        processors: p,
         placements,
-    }
+    )
 }
 
 /// **ParSubtreesOptim** (paper §5.1, makespan optimization): identical
 /// splitting, but *all* produced subtrees are allocated to the `p`
-/// processors LPT-style (largest total weight first, to the least-loaded
-/// processor), each processor running its subtrees back to back. The popped
-/// nodes still run sequentially at the end.
+/// processors LPT-style (largest total weight first, to the processor where
+/// it finishes earliest, `load + W / speed`, ties to the faster then
+/// lower-indexed processor), each processor running its subtrees back to
+/// back. The popped nodes then run sequentially on the fastest processor.
+/// Arguments as for [`par_subtrees`].
 ///
 /// This improves the makespan at the price of a (usually slight) memory
 /// increase, as the paper's experiments show.
-pub fn par_subtrees_optim(tree: &TaskTree, p: u32, seq: SeqAlgo) -> Schedule {
-    let global = seq.traversal(tree).order;
-    par_subtrees_optim_with_order(tree, p, seq, &global)
-}
-
-/// [`par_subtrees_optim`] with a caller-supplied whole-tree traversal
-/// `global` (the order produced by `seq` on `tree`).
-pub fn par_subtrees_optim_with_order(
+///
+/// # Panics
+///
+/// Panics when the processor count is 0.
+pub fn par_subtrees_optim(
     tree: &TaskTree,
-    p: u32,
-    seq: SeqAlgo,
-    global: &[NodeId],
-) -> Schedule {
-    let subtree_w = tree.subtree_work();
-    let mut sub = SubtreeScratch::new();
-    par_subtrees_optim_with_order_scratch(tree, p, seq, global, &subtree_w, &mut sub)
-}
-
-/// [`par_subtrees_optim_with_order`] with caller-supplied subtree weights
-/// and reusable buffers — the allocation-free entry point used by the
-/// engine's warm path.
-pub fn par_subtrees_optim_with_order_scratch(
-    tree: &TaskTree,
-    p: u32,
+    speeds: Speeds<'_>,
     seq: SeqAlgo,
     global: &[NodeId],
     subtree_w: &[f64],
     sub: &mut SubtreeScratch,
 ) -> Schedule {
+    let p = speeds.count();
     assert!(p > 0, "need at least one processor");
     let split = split_subtrees_with_work(tree, p as usize, subtree_w);
     let mut roots: Vec<NodeId> = split
@@ -377,94 +321,28 @@ pub fn par_subtrees_optim_with_order_scratch(
         .chain(&split.surplus_roots)
         .copied()
         .collect();
-    // LPT order: non-increasing subtree weight, ties by id for determinism
-    roots.sort_by(|&a, &b| {
-        subtree_w[b.index()]
-            .total_cmp(&subtree_w[a.index()])
-            .then(a.cmp(&b))
-    });
+    sort_heaviest_first(&mut roots, subtree_w);
+    rank_procs(speeds, &mut sub.procs);
     let n = tree.len();
     let mut placements = blank_placements(n);
     let mut in_parallel = vec![false; n];
     let mut loads = vec![0.0f64; p as usize];
     for &r in &roots {
-        let (k, _) = loads
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.total_cmp(b))
-            .expect("p > 0");
-        loads[k] = schedule_subtree(
-            tree,
-            r,
-            k as u32,
-            1.0,
-            loads[k],
-            seq,
-            &mut placements,
-            &mut in_parallel,
-            sub,
-        );
-    }
-    let t0 = loads.iter().fold(0.0f64, |a, &b| a.max(b));
-    schedule_filtered(tree, global, &in_parallel, 0, 1.0, t0, &mut placements);
-    Schedule {
-        processors: p,
-        placements,
-    }
-}
-
-/// [`par_subtrees_optim_with_order_scratch`] for mixed-speed processors:
-/// the LPT allocation becomes finish-time-aware — each subtree (heaviest
-/// first) goes to the processor where it would *finish* earliest
-/// (`load + W / speed`, ties to the faster then lower-indexed processor),
-/// which is exactly LPT on speed-scaled work. The popped nodes run on the
-/// fastest processor after every subtree is done. Equal-speed platforms
-/// stay on the historical unit-time + rescale route (see
-/// [`par_subtrees_hetero_with_order_scratch`]).
-pub fn par_subtrees_optim_hetero_with_order_scratch(
-    tree: &TaskTree,
-    speeds: &[f64],
-    seq: SeqAlgo,
-    global: &[NodeId],
-    subtree_w: &[f64],
-    sub: &mut SubtreeScratch,
-) -> Schedule {
-    let p = speeds.len() as u32;
-    assert!(p > 0, "need at least one processor");
-    let split = split_subtrees_with_work(tree, p as usize, subtree_w);
-    let mut roots: Vec<NodeId> = split
-        .parallel_roots
-        .iter()
-        .chain(&split.surplus_roots)
-        .copied()
-        .collect();
-    roots.sort_by(|&a, &b| {
-        subtree_w[b.index()]
-            .total_cmp(&subtree_w[a.index()])
-            .then(a.cmp(&b))
-    });
-    let procs = procs_by_speed(speeds);
-    let n = tree.len();
-    let mut placements = blank_placements(n);
-    let mut in_parallel = vec![false; n];
-    let mut loads = vec![0.0f64; p as usize];
-    for &r in &roots {
-        // earliest-finish pick over procs in fastest-first order, so ties
-        // go to the faster (then lower-indexed) processor
-        let proc = procs
-            .iter()
-            .copied()
-            .min_by(|&a, &b| {
-                let fa = loads[a as usize] + subtree_w[r.index()] / speeds[a as usize];
-                let fb = loads[b as usize] + subtree_w[r.index()] / speeds[b as usize];
-                fa.total_cmp(&fb)
-            })
+        // earliest finish over processors fastest first; on unit speeds the
+        // `W` term is the same for every processor, so the load decides
+        let finish = |proc: u32| match speeds {
+            Speeds::Unit(_) => loads[proc as usize],
+            Speeds::Per(s) => loads[proc as usize] + subtree_w[r.index()] / s[proc as usize],
+        };
+        let proc = (0..p as usize)
+            .map(|k| ranked(speeds, &sub.procs, k))
+            .min_by(|&a, &b| finish(a).total_cmp(&finish(b)))
             .expect("p > 0");
         loads[proc as usize] = schedule_subtree(
             tree,
             r,
             proc,
-            speeds[proc as usize],
+            speeds.speed(proc),
             loads[proc as usize],
             seq,
             &mut placements,
@@ -473,167 +351,33 @@ pub fn par_subtrees_optim_hetero_with_order_scratch(
         );
     }
     let t0 = loads.iter().fold(0.0f64, |a, &b| a.max(b));
-    let fastest = procs[0];
-    schedule_filtered(
+    schedule_remainder(
         tree,
         global,
         &in_parallel,
-        fastest,
-        speeds[fastest as usize],
+        speeds,
+        ranked(speeds, &sub.procs, 0),
         t0,
-        &mut placements,
-    );
-    Schedule {
-        processors: p,
         placements,
-    }
-}
-
-/// Priority key for [`par_inner_first`]: all inner nodes before all leaves;
-/// inner nodes by non-increasing edge-depth; leaves by their position in
-/// the optimal sequential postorder `O` (paper §5.2).
-fn inner_first_keys(tree: &TaskTree, order: &[NodeId]) -> Vec<(u8, u64, u64)> {
-    let pos = treesched_model::io::positions(tree.len(), order);
-    let depths = tree.depths();
-    tree.ids()
-        .map(|i| {
-            if tree.is_leaf(i) {
-                (1u8, pos[i.index()] as u64, 0u64)
-            } else {
-                (
-                    0u8,
-                    u32::MAX as u64 - depths[i.index()] as u64,
-                    pos[i.index()] as u64,
-                )
-            }
-        })
-        .collect()
-}
-
-/// **ParInnerFirst** (paper §5.2): event-based list scheduling where ready
-/// inner nodes always take priority (deepest first), and ready leaves are
-/// taken in optimal-postorder order. With one processor this reproduces a
-/// sequential postorder; with `p` processors it approximates one.
-///
-/// Makespan: `(2 − 1/p)`-approximation (list scheduling). Memory: can be
-/// arbitrarily worse than sequential (paper Fig. 4).
-pub fn par_inner_first(tree: &TaskTree, p: u32) -> Schedule {
-    let order = treesched_seq::best_postorder(tree).order;
-    par_inner_first_with_order(tree, p, &order)
-}
-
-/// [`par_inner_first`] with a caller-supplied sequential order `O`.
-pub fn par_inner_first_with_order(tree: &TaskTree, p: u32, order: &[NodeId]) -> Schedule {
-    let keys = inner_first_keys(tree, order);
-    list_schedule(tree, p, &keys)
-}
-
-/// Priority key for [`par_deepest_first`]: non-increasing `w`-weighted
-/// root-path depth (including the node's own `w`), then inner before leaf,
-/// then postorder position (paper §5.3).
-fn deepest_first_keys(tree: &TaskTree, order: &[NodeId]) -> Vec<(TotalF64, u8, u64)> {
-    let pos = treesched_model::io::positions(tree.len(), order);
-    let wdepth = tree.weighted_depths();
-    tree.ids()
-        .map(|i| {
-            (
-                TotalF64(-wdepth[i.index()]), // deepest first
-                u8::from(tree.is_leaf(i)),    // inner before leaf
-                pos[i.index()] as u64,        // postorder position
-            )
-        })
-        .collect()
-}
-
-/// **ParDeepestFirst** (paper §5.3): event-based list scheduling
-/// prioritizing the deepest ready node by weighted path length — the head
-/// of the critical path. Fully makespan-focused.
-///
-/// Makespan: `(2 − 1/p)`-approximation. Memory: unbounded relative to
-/// sequential (paper Fig. 5: proportional to the number of leaves on
-/// long-chain trees).
-pub fn par_deepest_first(tree: &TaskTree, p: u32) -> Schedule {
-    let order = treesched_seq::best_postorder(tree).order;
-    par_deepest_first_with_order(tree, p, &order)
-}
-
-/// [`par_deepest_first`] with a caller-supplied sequential order `O`.
-pub fn par_deepest_first_with_order(tree: &TaskTree, p: u32, order: &[NodeId]) -> Schedule {
-    let keys = deepest_first_keys(tree, order);
-    list_schedule(tree, p, &keys)
-}
-
-/// The four heuristics of the paper, as a value for driving experiments.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Heuristic {
-    /// [`par_subtrees`]
-    ParSubtrees,
-    /// [`par_subtrees_optim`]
-    ParSubtreesOptim,
-    /// [`par_inner_first`]
-    ParInnerFirst,
-    /// [`par_deepest_first`]
-    ParDeepestFirst,
-}
-
-impl Heuristic {
-    /// All four heuristics in the paper's Table 1 order.
-    pub const ALL: [Heuristic; 4] = [
-        Heuristic::ParSubtrees,
-        Heuristic::ParSubtreesOptim,
-        Heuristic::ParInnerFirst,
-        Heuristic::ParDeepestFirst,
-    ];
-
-    /// Paper name of the heuristic.
-    pub fn name(self) -> &'static str {
-        match self {
-            Heuristic::ParSubtrees => "ParSubtrees",
-            Heuristic::ParSubtreesOptim => "ParSubtreesOptim",
-            Heuristic::ParInnerFirst => "ParInnerFirst",
-            Heuristic::ParDeepestFirst => "ParDeepestFirst",
-        }
-    }
-
-    /// Builds the heuristic's schedule for `tree` on `p` processors with the
-    /// default sequential sub-algorithm.
-    pub fn schedule(self, tree: &TaskTree, p: u32) -> Schedule {
-        match self {
-            Heuristic::ParSubtrees => par_subtrees(tree, p, SeqAlgo::default()),
-            Heuristic::ParSubtreesOptim => par_subtrees_optim(tree, p, SeqAlgo::default()),
-            Heuristic::ParInnerFirst => par_inner_first(tree, p),
-            Heuristic::ParDeepestFirst => par_deepest_first(tree, p),
-        }
-    }
-
-    /// As [`Heuristic::schedule`] but reusing a precomputed optimal
-    /// sequential postorder (avoids recomputing it per heuristic in
-    /// experiment sweeps). `order` must be the best-postorder traversal of
-    /// `tree` (the default sequential sub-algorithm's order).
-    pub fn schedule_with_order(self, tree: &TaskTree, p: u32, order: &[NodeId]) -> Schedule {
-        match self {
-            Heuristic::ParSubtrees => par_subtrees_with_order(tree, p, SeqAlgo::default(), order),
-            Heuristic::ParSubtreesOptim => {
-                par_subtrees_optim_with_order(tree, p, SeqAlgo::default(), order)
-            }
-            Heuristic::ParInnerFirst => par_inner_first_with_order(tree, p, order),
-            Heuristic::ParDeepestFirst => par_deepest_first_with_order(tree, p, order),
-        }
-    }
-}
-
-impl std::fmt::Display for Heuristic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::evaluate;
+    use crate::api::{Outcome, Platform, Request, SchedulerRegistry};
     use treesched_model::{TaskTree, TreeBuilder};
     use treesched_seq::best_postorder;
+
+    /// Runs the registry scheduler `name` on `p` unit-speed processors.
+    fn run(name: &str, tree: &TaskTree, p: u32, seq: SeqAlgo) -> Outcome {
+        let req = Request::new(tree, Platform::new(p)).with_seq(seq);
+        SchedulerRegistry::standard()
+            .get(name)
+            .unwrap()
+            .schedule_once(&req)
+            .unwrap()
+    }
 
     /// Paper Figure 3: ParSubtrees achieves makespan `p(k−1) + 2` on the
     /// fork with `p·k` unit leaves while the optimum is `k + 1`; the
@@ -642,21 +386,26 @@ mod tests {
     fn fig3_fork_makespans() {
         let (p, k) = (4u32, 6usize);
         let t = TaskTree::fork(p as usize * k, 1.0, 1.0, 0.0);
-        let ms = evaluate(&t, &par_subtrees(&t, p, SeqAlgo::default())).makespan;
+        let ms = run("ParSubtrees", &t, p, SeqAlgo::default()).eval.makespan;
         assert_eq!(ms, (p as usize * (k - 1) + 2) as f64);
-        let opt = evaluate(&t, &par_subtrees_optim(&t, p, SeqAlgo::default())).makespan;
+        let opt = run("ParSubtreesOptim", &t, p, SeqAlgo::default())
+            .eval
+            .makespan;
         assert_eq!(opt, (k + 1) as f64);
         // list schedulers also achieve the optimum here
-        let dfs = evaluate(&t, &par_deepest_first(&t, p)).makespan;
+        let dfs = run("ParDeepestFirst", &t, p, SeqAlgo::default())
+            .eval
+            .makespan;
         assert_eq!(dfs, (k + 1) as f64);
     }
 
     #[test]
     fn all_heuristics_produce_valid_schedules() {
         let t = TaskTree::complete(3, 4, 1.0, 2.0, 0.5);
-        for h in Heuristic::ALL {
+        for entry in SchedulerRegistry::standard().campaign() {
+            let h = entry.name();
             for p in [1u32, 2, 5, 16] {
-                let s = h.schedule(&t, p);
+                let s = run(h, &t, p, SeqAlgo::default()).schedule;
                 assert!(s.validate(&t).is_ok(), "{h} p={p}");
                 assert!(s.max_concurrency() <= p as usize, "{h} p={p}");
             }
@@ -668,8 +417,7 @@ mod tests {
         let t = TaskTree::complete(2, 5, 1.0, 1.0, 0.0);
         for p in [1u32, 2, 3, 8] {
             let split = crate::split::split_subtrees(&t, p as usize);
-            let s = par_subtrees(&t, p, SeqAlgo::default());
-            let ev = evaluate(&t, &s);
+            let ev = run("ParSubtrees", &t, p, SeqAlgo::default()).eval;
             assert!(
                 (ev.makespan - split.cost).abs() < 1e-9,
                 "p={p}: {} vs {}",
@@ -693,7 +441,7 @@ mod tests {
         let t = b.build().unwrap();
         let mseq = best_postorder(&t).peak;
         for p in [1u32, 2, 4] {
-            let ev = evaluate(&t, &par_subtrees(&t, p, SeqAlgo::default()));
+            let ev = run("ParSubtrees", &t, p, SeqAlgo::default()).eval;
             assert!(
                 ev.peak_memory <= (p as f64 + 1.0) * mseq + 1e-9,
                 "p={p}: {} > {}",
@@ -708,11 +456,11 @@ mod tests {
         // with p = 1, ParSubtrees runs the sequential algorithm on the whole
         // tree; its memory equals the best postorder peak
         let t = TaskTree::complete(2, 4, 1.0, 2.0, 1.0);
-        let ev = evaluate(&t, &par_subtrees(&t, 1, SeqAlgo::default()));
+        let ev = run("ParSubtrees", &t, 1, SeqAlgo::default()).eval;
         assert_eq!(ev.peak_memory, best_postorder(&t).peak);
         assert_eq!(ev.makespan, t.total_work());
         // ParInnerFirst on one processor replays a sequential postorder
-        let ev = evaluate(&t, &par_inner_first(&t, 1));
+        let ev = run("ParInnerFirst", &t, 1, SeqAlgo::default()).eval;
         assert_eq!(ev.peak_memory, best_postorder(&t).peak);
     }
 
@@ -728,7 +476,7 @@ mod tests {
             b.child(r, 1.0, 1.0, 0.0); // fork leaves
         }
         let t = b.build().unwrap();
-        let s = par_inner_first(&t, 1);
+        let s = run("ParInnerFirst", &t, 1, SeqAlgo::default()).schedule;
         // node c (inner, id 1) becomes ready after its leaf (id 2); it must
         // start right then, before the remaining fork leaves
         let start_c = s.placement(NodeId(1)).start;
@@ -748,14 +496,8 @@ mod tests {
         let deep = b.child(a, 10.0, 1.0, 0.0); // wdepth 12
         b.child(r, 1.0, 1.0, 0.0); // shallow leaf, wdepth 2
         let t = b.build().unwrap();
-        let s = par_deepest_first(&t, 1);
+        let s = run("ParDeepestFirst", &t, 1, SeqAlgo::default()).schedule;
         assert!(s.placement(deep).start < s.placement(NodeId(3)).start);
-    }
-
-    #[test]
-    fn heuristic_names() {
-        assert_eq!(Heuristic::ParSubtrees.to_string(), "ParSubtrees");
-        assert_eq!(Heuristic::ALL.len(), 4);
     }
 
     /// The borrowed-view subtree path must place every task exactly where
@@ -831,55 +573,14 @@ mod tests {
             }
         }
         assert!(sub.subtree_views() > 0);
-        assert_eq!(sub.subtree_clones(), 0);
-    }
-
-    /// The `_scratch` entry points are bit-identical to the plain ones and
-    /// never clone a subtree for the postorder sub-algorithms.
-    #[test]
-    fn scratch_entry_points_match_and_count() {
-        let t = TaskTree::complete(3, 4, 1.0, 2.0, 0.5);
-        let subtree_w = t.subtree_work();
-        let mut sub = SubtreeScratch::new();
-        for p in [1u32, 2, 5] {
-            let global = SeqAlgo::default().traversal(&t).order;
-            let plain = par_subtrees_with_order(&t, p, SeqAlgo::default(), &global);
-            let fast = par_subtrees_with_order_scratch(
-                &t,
-                p,
-                SeqAlgo::default(),
-                &global,
-                &subtree_w,
-                &mut sub,
-            );
-            assert_eq!(plain, fast, "ParSubtrees p={p}");
-            let plain = par_subtrees_optim_with_order(&t, p, SeqAlgo::default(), &global);
-            let fast = par_subtrees_optim_with_order_scratch(
-                &t,
-                p,
-                SeqAlgo::default(),
-                &global,
-                &subtree_w,
-                &mut sub,
-            );
-            assert_eq!(plain, fast, "ParSubtreesOptim p={p}");
-        }
-        assert!(sub.subtree_views() > 0);
-        assert_eq!(sub.subtree_clones(), 0);
-
-        // LiuExact rides the view path too — no clone fallback left
-        let global = SeqAlgo::LiuExact.traversal(&t).order;
-        par_subtrees_with_order_scratch(&t, 3, SeqAlgo::LiuExact, &global, &subtree_w, &mut sub);
-        assert_eq!(sub.subtree_clones(), 0);
-        assert!(sub.subtree_views() > 0);
     }
 
     #[test]
     fn liu_exact_subtree_option_works() {
         let t = TaskTree::complete(2, 4, 1.0, 3.0, 1.0);
-        let s = par_subtrees(&t, 3, SeqAlgo::LiuExact);
+        let s = run("ParSubtrees", &t, 3, SeqAlgo::LiuExact).schedule;
         assert!(s.validate(&t).is_ok());
-        let s2 = par_subtrees(&t, 3, SeqAlgo::NaivePostorder);
+        let s2 = run("ParSubtrees", &t, 3, SeqAlgo::NaivePostorder).schedule;
         assert!(s2.validate(&t).is_ok());
         // exact sequential sub-traversals can only help memory
         let m_exact = s.peak_memory(&t);

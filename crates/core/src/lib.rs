@@ -7,16 +7,18 @@
 //! unit-weight pebble-game model (Theorem 1) and the two objectives cannot
 //! be simultaneously approximated within constant factors (Theorem 2), so
 //! the paper proposes four heuristics spanning the trade-off — all
-//! implemented here:
+//! implemented here and registered in [`api::SchedulerRegistry::standard`]:
 //!
-//! * [`heuristics::par_subtrees`] / [`heuristics::par_subtrees_optim`] —
-//!   split the tree into subtrees ([`split::split_subtrees`], Algorithm 2)
-//!   processed concurrently with a sequential memory-optimal algorithm;
-//!   memory-focused, `M ≤ (p+1)·M_seq`.
-//! * [`heuristics::par_inner_first`] — event-based list scheduling
-//!   (Algorithm 3) approximating a parallel postorder; balanced.
-//! * [`heuristics::par_deepest_first`] — list scheduling along the critical
-//!   path; makespan-focused.
+//! * `ParSubtrees` / `ParSubtreesOptim` ([`heuristics::par_subtrees`] /
+//!   [`heuristics::par_subtrees_optim`]) — split the tree into subtrees
+//!   ([`split::split_subtrees`], Algorithm 2) processed concurrently with a
+//!   sequential memory-optimal algorithm; memory-focused,
+//!   `M ≤ (p+1)·M_seq`.
+//! * `ParInnerFirst` — event-based list scheduling
+//!   ([`listsched::list_schedule`], Algorithm 3) approximating a parallel
+//!   postorder; balanced.
+//! * `ParDeepestFirst` — list scheduling along the critical path;
+//!   makespan-focused.
 //!
 //! ## The unified scheduling API
 //!
@@ -58,18 +60,19 @@
 //!
 //! ## Low-level building blocks
 //!
-//! The algorithms behind the registry remain available as plain functions:
-//! the generic list scheduler ([`listsched::list_schedule`] and its
-//! buffer-reusing [`listsched::list_schedule_reusing`]), parallel-schedule
-//! evaluation ([`schedule::Schedule::peak_memory`],
+//! Each algorithm behind the registry is one function, driven by the
+//! platform's [`listsched::Speeds`] and reusable scratch buffers: the
+//! subtree heuristics ([`heuristics::par_subtrees`],
+//! [`heuristics::par_subtrees_optim`]) and the one event-based list
+//! scheduler ([`listsched::list_schedule`], reached with custom priority
+//! keys through [`api::Scratch::run_list_schedule`]). Beside them sit
+//! parallel-schedule evaluation ([`schedule::Schedule::peak_memory`],
 //! [`schedule::try_evaluate`]), the lower bounds used by the paper's
-//! Figure 6 ([`bounds`]), textbook baselines for component ablations
-//! ([`baselines`]), an exact bi-objective Pareto solver for the unit-time
-//! model ([`pareto`]), and — as the paper's stated future work — a
-//! memory-capped list scheduler ([`membound::mem_bounded_schedule`]).
+//! Figure 6 ([`bounds`]), an exact bi-objective Pareto solver for the
+//! unit-time model ([`pareto`]), and — as the paper's stated future work —
+//! a memory-capped list scheduler ([`membound::mem_bounded_schedule`]).
 
 pub mod api;
-pub mod baselines;
 pub mod bounds;
 pub mod heuristics;
 pub mod listsched;
@@ -83,20 +86,14 @@ pub use api::{
     PlatformBuilder, PlatformFlag, PlatformParseError, PlatformSpec, ProcClass, Request,
     SchedError, Scheduler, SchedulerRegistry, Scratch, ScratchStats,
 };
-pub use baselines::{cp_list_schedule, fifo_list_schedule, random_list_schedule};
 pub use bounds::{
     makespan_lower_bound, makespan_lower_bound_on, memory_lower_bound_exact, memory_reference,
 };
-pub use heuristics::{
-    par_deepest_first, par_inner_first, par_subtrees, par_subtrees_optim, Heuristic, SeqAlgo,
-    SubtreeScratch,
-};
-pub use listsched::{list_schedule, list_schedule_with_comm, CommCosts, Speeds};
+pub use heuristics::{par_subtrees, par_subtrees_optim, SeqAlgo, SubtreeScratch};
+pub use listsched::{list_schedule, CommCosts, Speeds};
 pub use membound::{
     mem_bounded_schedule, mem_bounded_schedule_domains, Admission, DomainCtx, MemBoundedRun,
 };
 pub use pareto::{dominated_by_frontier, pareto_frontier, ParetoPoint};
-pub use schedule::{
-    evaluate, try_evaluate, try_evaluate_on, EvalResult, Placement, Schedule, ScheduleError,
-};
+pub use schedule::{try_evaluate, try_evaluate_on, EvalResult, Placement, Schedule, ScheduleError};
 pub use split::{split_subtrees, split_subtrees_with_work, Split};

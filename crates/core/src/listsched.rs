@@ -3,10 +3,16 @@
 //! The scheduler is driven by task-finish events. At each event, tasks whose
 //! children have all completed become *ready* and enter a priority queue;
 //! every idle processor is then given the head of the queue. The queue
-//! ordering is the only degree of freedom —
-//! [`par_inner_first`](crate::heuristics::par_inner_first) and
-//! [`par_deepest_first`](crate::heuristics::par_deepest_first) are both
-//! instances with different priority keys.
+//! ordering is the only degree of freedom: `ParInnerFirst`,
+//! `ParDeepestFirst` and the textbook baselines of the
+//! [`crate::api::SchedulerRegistry`] are all instances with different
+//! priority keys, lowered to [`Key3`].
+//!
+//! [`list_schedule`] is the one event loop and the one entry point. It runs
+//! on any [`Speeds`] (each ready task goes to the free processor where it
+//! finishes earliest) and optionally pays cross-domain transfer costs
+//! ([`CommCosts`]); custom priorities reach it through
+//! [`crate::api::Scratch::run_list_schedule`].
 //!
 //! As a list scheduling algorithm, any instance is a `(2 − 1/p)`-
 //! approximation for makespan minimization (Graham 1966, paper §5.2/§5.3).
@@ -52,7 +58,7 @@ pub fn key_from_f64(x: f64) -> u64 {
     }
 }
 
-/// Reusable state for [`list_schedule_reusing`]: the ready queue, the event
+/// Reusable state for [`list_schedule`]: the ready queue, the event
 /// queue, and the bookkeeping tables. Clearing these instead of
 /// re-allocating them is what lets a corpus campaign of thousands of
 /// schedules run without per-schedule heap churn.
@@ -201,21 +207,94 @@ impl Speeds<'_> {
     }
 }
 
-/// The event loop shared by [`list_schedule`] and [`list_schedule_reusing`]:
-/// callers provide pre-seeded queues and tables; `placements` is returned
-/// because it becomes the produced [`Schedule`] and cannot be reused.
-#[allow(clippy::too_many_arguments)]
-fn run_list<K: Ord + Copy>(
+/// Cross-domain communication context for [`list_schedule`]:
+/// which memory domain each processor lives in, and what one unit of output
+/// data costs to move between two domains.
+#[derive(Clone, Copy, Debug)]
+pub struct CommCosts<'a> {
+    /// Memory-domain index of each processor, in processor index order
+    /// (`u32::MAX` = no domain: unbounded memory, free communication). See
+    /// [`crate::api::Platform::fill_domains`].
+    pub domain_of: &'a [u32],
+    /// Flattened `domains × domains` row-major transfer-cost matrix. See
+    /// [`crate::api::Platform::comm`].
+    pub cost: &'a [f64],
+    /// Number of domains (the matrix dimension).
+    pub domains: usize,
+}
+
+impl CommCosts<'_> {
+    /// Transfer cost per unit of data between the domains of two
+    /// processors; zero within a domain and for domain-less processors.
+    #[inline]
+    fn between(&self, src: u32, dst: u32) -> f64 {
+        if src == dst || src == u32::MAX || dst == u32::MAX {
+            0.0
+        } else {
+            self.cost[src as usize * self.domains + dst as usize]
+        }
+    }
+}
+
+/// Runs Algorithm 3: event-based list scheduling of `tree` on the
+/// processors described by `speeds`, ready tasks ordered by `keys`
+/// (**smaller key = higher priority**), with the node id as the final
+/// deterministic tie-break.
+///
+/// Ready tasks leave the queue in priority order, and each is placed on the
+/// free processor where it would *finish* earliest — the fastest free one;
+/// ties keep the last-freed slot, which on [`Speeds::Unit`] is the
+/// historical single-speed assignment. With `comm`, the pick reserves the
+/// processor at event time `t` and the task waits until every child's
+/// output has crossed into the processor's memory domain:
+/// `start = max(t, max_c finish_c + output_c × cost(dom_c, dom))`. Without
+/// it, `start = t`. An all-zero cost matrix delays nothing, but the
+/// [`crate::api`] layer passes `None` for it anyway.
+///
+/// Every queue and table is borrowed from `scratch`, so repeated calls do
+/// not re-allocate; only the returned placements are fresh.
+///
+/// # Panics
+///
+/// Panics when the processor count is 0, `keys.len() != tree.len()`, or
+/// `comm.domain_of` does not have one entry per processor. The
+/// [`crate::api`] layer checks these conditions and reports them as typed
+/// [`crate::api::SchedError`]s instead.
+pub fn list_schedule(
     tree: &TaskTree,
     speeds: Speeds<'_>,
-    keys: &[K],
-    ready: &mut BinaryHeap<Reverse<(K, NodeId)>>,
-    events: &mut BinaryHeap<Reverse<(TotalF64, NodeId)>>,
-    remaining_children: &mut [usize],
-    free: &mut ClassPool,
-    proc_of: &mut [u32],
-) -> Vec<Placement> {
+    keys: &[Key3],
+    comm: Option<&CommCosts<'_>>,
+    scratch: &mut ListScratch,
+) -> Schedule {
+    let p = speeds.count();
+    assert!(p > 0, "need at least one processor");
+    assert_eq!(keys.len(), tree.len(), "one key per task");
+    if let Some(comm) = comm {
+        assert_eq!(comm.domain_of.len(), p as usize, "one domain per processor");
+    }
     let n = tree.len();
+    let ListScratch {
+        ready,
+        events,
+        remaining_children,
+        free,
+        proc_of,
+    } = scratch;
+
+    // ready queue: min-heap on (key, id); finish events: min-heap on (time, node)
+    ready.clear();
+    events.clear();
+    remaining_children.clear();
+    remaining_children.extend((0..n).map(|i| tree.children(NodeId::from_index(i)).len()));
+    for i in tree.ids() {
+        if tree.is_leaf(i) {
+            ready.push(Reverse((keys[i.index()], i)));
+        }
+    }
+    free.rebuild(speeds);
+    proc_of.clear();
+    proc_of.resize(n, 0);
     let mut placements: Vec<Placement> = vec![
         Placement {
             proc: 0,
@@ -226,7 +305,7 @@ fn run_list<K: Ord + Copy>(
     ];
 
     let assign = |t: f64,
-                  ready: &mut BinaryHeap<Reverse<(K, NodeId)>>,
+                  ready: &mut BinaryHeap<Reverse<(Key3, NodeId)>>,
                   events: &mut BinaryHeap<Reverse<(TotalF64, NodeId)>>,
                   free: &mut ClassPool,
                   placements: &mut Vec<Placement>,
@@ -234,14 +313,26 @@ fn run_list<K: Ord + Copy>(
         while !free.is_empty() && !ready.is_empty() {
             let Reverse((_, node)) = ready.pop().expect("nonempty");
             // Every free processor can start the task at `t`, so the
-            // earliest-finishing one is the fastest. Ties keep the LIFO
-            // (last-freed) slot, which on unit speeds reproduces the
-            // historical single-speed assignment exactly.
+            // earliest-finishing one is the fastest.
             let proc = free.pop_best().expect("nonempty");
-            let finish = t + tree.work(node) / speeds.speed(proc);
+            let mut start = t;
+            if let Some(comm) = comm {
+                let dst = comm.domain_of[proc as usize];
+                for &c in tree.children(node) {
+                    let src = comm.domain_of[proc_of[c.index()] as usize];
+                    let delay = tree.output(c) * comm.between(src, dst);
+                    if delay > 0.0 {
+                        let earliest = placements[c.index()].finish + delay;
+                        if earliest > start {
+                            start = earliest;
+                        }
+                    }
+                }
+            }
+            let finish = start + tree.work(node) / speeds.speed(proc);
             placements[node.index()] = Placement {
                 proc,
-                start: t,
+                start,
                 finish,
             };
             proc_of[node.index()] = proc;
@@ -272,305 +363,39 @@ fn run_list<K: Ord + Copy>(
         assign(t, ready, events, free, &mut placements, proc_of);
     }
 
-    placements
-}
-
-/// Runs Algorithm 3: event-based list scheduling of `tree` on `p`
-/// processors, ready tasks ordered by `keys` (**smaller key = higher
-/// priority**), with the node id as the final deterministic tie-break.
-///
-/// # Panics
-///
-/// Panics when `p == 0` or `keys.len() != tree.len()`. The [`crate::api`]
-/// layer checks both conditions and reports them as typed
-/// [`crate::api::SchedError`]s instead.
-pub fn list_schedule<K: Ord + Copy>(tree: &TaskTree, p: u32, keys: &[K]) -> Schedule {
-    assert!(p > 0, "need at least one processor");
-    assert_eq!(keys.len(), tree.len(), "one key per task");
-    let n = tree.len();
-
-    // ready queue: min-heap on (key, id); finish events: min-heap on (time, node)
-    let mut ready: BinaryHeap<Reverse<(K, NodeId)>> = BinaryHeap::new();
-    let mut events: BinaryHeap<Reverse<(TotalF64, NodeId)>> = BinaryHeap::new();
-    let mut remaining_children: Vec<usize> = (0..n)
-        .map(|i| tree.children(NodeId::from_index(i)).len())
-        .collect();
-    for i in tree.ids() {
-        if tree.is_leaf(i) {
-            ready.push(Reverse((keys[i.index()], i)));
-        }
-    }
-    let mut free = ClassPool::default(); // pop_best() yields proc 0 first
-    free.rebuild(Speeds::Unit(p));
-    let mut proc_of: Vec<u32> = vec![0; n];
-
-    let placements = run_list(
-        tree,
-        Speeds::Unit(p),
-        keys,
-        &mut ready,
-        &mut events,
-        &mut remaining_children,
-        &mut free,
-        &mut proc_of,
-    );
     Schedule {
         processors: p,
         placements,
     }
-}
-
-/// As [`list_schedule`], but with [`Key3`]-encoded priorities and all
-/// internal queues/tables borrowed from `scratch`, so repeated calls do not
-/// re-allocate. This is the hot path of the experiment campaign.
-///
-/// # Panics
-///
-/// Panics when `p == 0` or `keys.len() != tree.len()`.
-pub fn list_schedule_reusing(
-    tree: &TaskTree,
-    p: u32,
-    keys: &[Key3],
-    scratch: &mut ListScratch,
-) -> Schedule {
-    list_schedule_with_speeds(tree, Speeds::Unit(p), keys, scratch)
-}
-
-/// As [`list_schedule_reusing`], but over processors of explicit
-/// [`Speeds`]: ready tasks still leave the queue in priority order, and
-/// each is placed on the free processor where it would *finish* earliest
-/// (the fastest free one), not merely on any free processor.
-///
-/// With [`Speeds::Unit`] this is exactly [`list_schedule_reusing`].
-///
-/// # Panics
-///
-/// Panics when the processor count is 0 or `keys.len() != tree.len()`.
-pub fn list_schedule_with_speeds(
-    tree: &TaskTree,
-    speeds: Speeds<'_>,
-    keys: &[Key3],
-    scratch: &mut ListScratch,
-) -> Schedule {
-    let p = speeds.count();
-    assert!(p > 0, "need at least one processor");
-    assert_eq!(keys.len(), tree.len(), "one key per task");
-    let n = tree.len();
-
-    scratch.ready.clear();
-    scratch.events.clear();
-    scratch.remaining_children.clear();
-    scratch
-        .remaining_children
-        .extend((0..n).map(|i| tree.children(NodeId::from_index(i)).len()));
-    for i in tree.ids() {
-        if tree.is_leaf(i) {
-            scratch.ready.push(Reverse((keys[i.index()], i)));
-        }
-    }
-    scratch.free.rebuild(speeds);
-    scratch.proc_of.clear();
-    scratch.proc_of.resize(n, 0);
-
-    let placements = run_list(
-        tree,
-        speeds,
-        keys,
-        &mut scratch.ready,
-        &mut scratch.events,
-        &mut scratch.remaining_children,
-        &mut scratch.free,
-        &mut scratch.proc_of,
-    );
-    Schedule {
-        processors: p,
-        placements,
-    }
-}
-
-/// Cross-domain communication context for [`list_schedule_with_comm`]:
-/// which memory domain each processor lives in, and what one unit of output
-/// data costs to move between two domains.
-#[derive(Clone, Copy, Debug)]
-pub struct CommCosts<'a> {
-    /// Memory-domain index of each processor, in processor index order
-    /// (`u32::MAX` = no domain: unbounded memory, free communication). See
-    /// [`crate::api::Platform::fill_domains`].
-    pub domain_of: &'a [u32],
-    /// Flattened `domains × domains` row-major transfer-cost matrix. See
-    /// [`crate::api::Platform::comm`].
-    pub cost: &'a [f64],
-    /// Number of domains (the matrix dimension).
-    pub domains: usize,
-}
-
-impl CommCosts<'_> {
-    /// Transfer cost per unit of data between the domains of two
-    /// processors; zero within a domain and for domain-less processors.
-    #[inline]
-    fn between(&self, src: u32, dst: u32) -> f64 {
-        if src == dst || src == u32::MAX || dst == u32::MAX {
-            0.0
-        } else {
-            self.cost[src as usize * self.domains + dst as usize]
-        }
-    }
-}
-
-/// The comm-aware twin of the [`run_list`] event loop, kept separate so the
-/// comm-free hot path stays byte-for-byte untouched. Same queue pairing —
-/// highest-priority ready task onto the fastest free processor — but the
-/// pick *reserves* the processor at event time `t` and the task then waits
-/// until every child's output has crossed into the processor's domain:
-/// `start = max(t, max_c finish_c + output_c × cost(dom_c, dom))`.
-#[allow(clippy::too_many_arguments)]
-fn run_list_comm<K: Ord + Copy>(
-    tree: &TaskTree,
-    speeds: Speeds<'_>,
-    keys: &[K],
-    comm: &CommCosts<'_>,
-    ready: &mut BinaryHeap<Reverse<(K, NodeId)>>,
-    events: &mut BinaryHeap<Reverse<(TotalF64, NodeId)>>,
-    remaining_children: &mut [usize],
-    free: &mut ClassPool,
-    proc_of: &mut [u32],
-) -> Vec<Placement> {
-    let n = tree.len();
-    let mut placements: Vec<Placement> = vec![
-        Placement {
-            proc: 0,
-            start: f64::NAN,
-            finish: f64::NAN
-        };
-        n
-    ];
-
-    let assign = |t: f64,
-                  ready: &mut BinaryHeap<Reverse<(K, NodeId)>>,
-                  events: &mut BinaryHeap<Reverse<(TotalF64, NodeId)>>,
-                  free: &mut ClassPool,
-                  placements: &mut Vec<Placement>,
-                  proc_of: &mut [u32]| {
-        while !free.is_empty() && !ready.is_empty() {
-            let Reverse((_, node)) = ready.pop().expect("nonempty");
-            let proc = free.pop_best().expect("nonempty");
-            let dst = comm.domain_of[proc as usize];
-            let mut start = t;
-            for &c in tree.children(node) {
-                let delay =
-                    tree.output(c) * comm.between(comm.domain_of[proc_of[c.index()] as usize], dst);
-                if delay > 0.0 {
-                    let earliest = placements[c.index()].finish + delay;
-                    if earliest > start {
-                        start = earliest;
-                    }
-                }
-            }
-            let finish = start + tree.work(node) / speeds.speed(proc);
-            placements[node.index()] = Placement {
-                proc,
-                start,
-                finish,
-            };
-            proc_of[node.index()] = proc;
-            events.push(Reverse((TotalF64(finish), node)));
-        }
-    };
-
-    assign(0.0, ready, events, free, &mut placements, proc_of);
-
-    while let Some(&Reverse((TotalF64(t), _))) = events.peek() {
-        while let Some(&Reverse((TotalF64(tf), node))) = events.peek() {
-            if tf > t {
-                break;
-            }
-            events.pop();
-            free.push(proc_of[node.index()]);
-            if let Some(parent) = tree.parent(node) {
-                let r = &mut remaining_children[parent.index()];
-                *r -= 1;
-                if *r == 0 {
-                    ready.push(Reverse((keys[parent.index()], parent)));
-                }
-            }
-        }
-        assign(t, ready, events, free, &mut placements, proc_of);
-    }
-
-    placements
-}
-
-/// As [`list_schedule_with_speeds`], but paying cross-domain transfer
-/// costs: a task whose children ran in other memory domains cannot start
-/// until each child's output has crossed over, so its start is delayed to
-/// `max(t, max_c finish_c + output_c × comm_cost)` while the processor it
-/// was assigned stays reserved. With an all-zero cost matrix every delay is
-/// zero and the result equals the comm-free path (the [`crate::api`] layer
-/// routes such platforms to the comm-free path outright, keeping it
-/// byte-identical by construction).
-///
-/// # Panics
-///
-/// Panics when the processor count is 0, `keys.len() != tree.len()`, or
-/// `comm.domain_of` does not have one entry per processor.
-pub fn list_schedule_with_comm(
-    tree: &TaskTree,
-    speeds: Speeds<'_>,
-    keys: &[Key3],
-    comm: &CommCosts<'_>,
-    scratch: &mut ListScratch,
-) -> Schedule {
-    let p = speeds.count();
-    assert!(p > 0, "need at least one processor");
-    assert_eq!(keys.len(), tree.len(), "one key per task");
-    assert_eq!(comm.domain_of.len(), p as usize, "one domain per processor");
-    let n = tree.len();
-
-    scratch.ready.clear();
-    scratch.events.clear();
-    scratch.remaining_children.clear();
-    scratch
-        .remaining_children
-        .extend((0..n).map(|i| tree.children(NodeId::from_index(i)).len()));
-    for i in tree.ids() {
-        if tree.is_leaf(i) {
-            scratch.ready.push(Reverse((keys[i.index()], i)));
-        }
-    }
-    scratch.free.rebuild(speeds);
-    scratch.proc_of.clear();
-    scratch.proc_of.resize(n, 0);
-
-    let placements = run_list_comm(
-        tree,
-        speeds,
-        keys,
-        comm,
-        &mut scratch.ready,
-        &mut scratch.events,
-        &mut scratch.remaining_children,
-        &mut scratch.free,
-        &mut scratch.proc_of,
-    );
-    Schedule {
-        processors: p,
-        placements,
-    }
-}
-
-/// Priority keys replaying a fixed sequential order: ready tasks are served
-/// in the order they appear in `order`. With `p = 1` this reproduces the
-/// sequential traversal exactly.
-pub fn keys_from_order(tree: &TaskTree, order: &[NodeId]) -> Vec<usize> {
-    treesched_model::io::positions(tree.len(), order)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::evaluate;
+    use crate::schedule::try_evaluate;
     use treesched_model::{TaskTree, TreeBuilder};
     use treesched_seq::best_postorder;
+
+    /// Priority keys replaying a fixed sequential order: ready tasks are
+    /// served in the order they appear in `order`. With `p = 1` this
+    /// reproduces the sequential traversal exactly.
+    fn keys_from_order(tree: &TaskTree, order: &[NodeId]) -> Vec<Key3> {
+        treesched_model::io::positions(tree.len(), order)
+            .into_iter()
+            .map(|k| (k as u64, 0, 0))
+            .collect()
+    }
+
+    /// Unit-speed, comm-free list scheduling with a throwaway scratch.
+    fn unit(tree: &TaskTree, p: u32, keys: &[Key3]) -> Schedule {
+        list_schedule(
+            tree,
+            Speeds::Unit(p),
+            keys,
+            None,
+            &mut ListScratch::default(),
+        )
+    }
 
     #[test]
     fn single_processor_replays_sequential_order() {
@@ -582,8 +407,8 @@ mod tests {
         let t = b.build().unwrap();
         let order = best_postorder(&t).order;
         let keys = keys_from_order(&t, &order);
-        let s = list_schedule(&t, 1, &keys);
-        let ev = evaluate(&t, &s);
+        let s = unit(&t, 1, &keys);
+        let ev = try_evaluate(&t, &s).unwrap();
         assert_eq!(ev.makespan, t.total_work());
         assert_eq!(
             ev.peak_memory,
@@ -599,8 +424,8 @@ mod tests {
     fn fork_uses_all_processors() {
         let t = TaskTree::fork(6, 1.0, 1.0, 0.0);
         let keys = keys_from_order(&t, &t.postorder());
-        let s = list_schedule(&t, 3, &keys);
-        let ev = evaluate(&t, &s);
+        let s = unit(&t, 3, &keys);
+        let ev = try_evaluate(&t, &s).unwrap();
         assert_eq!(ev.makespan, 3.0); // 6 leaves / 3 procs + root
         assert_eq!(s.max_concurrency(), 3);
     }
@@ -610,7 +435,7 @@ mod tests {
         let t = TaskTree::complete(3, 4, 1.0, 1.0, 0.0);
         let keys = keys_from_order(&t, &t.postorder());
         for p in [1u32, 2, 4, 7] {
-            let s = list_schedule(&t, p, &keys);
+            let s = unit(&t, p, &keys);
             assert!(s.validate(&t).is_ok());
             assert!(s.max_concurrency() <= p as usize);
         }
@@ -621,7 +446,7 @@ mod tests {
         let t = TaskTree::complete(2, 6, 1.0, 1.0, 0.0);
         for p in [2u32, 4, 8] {
             let keys = keys_from_order(&t, &t.postorder());
-            let s = list_schedule(&t, p, &keys);
+            let s = unit(&t, p, &keys);
             let lb = (t.total_work() / p as f64).max(t.critical_path());
             let graham = (2.0 - 1.0 / p as f64) * lb;
             assert!(s.makespan() <= graham + 1e-9);
@@ -634,8 +459,8 @@ mod tests {
         // two leaves with different priorities, one processor: the smaller
         // key runs first
         let t = TaskTree::fork(2, 1.0, 1.0, 0.0);
-        let keys = vec![9usize, 5, 3]; // leaf 2 first, then leaf 1
-        let s = list_schedule(&t, 1, &keys);
+        let keys = [(9, 0, 0), (5, 0, 0), (3, 0, 0)]; // leaf 2 first, then leaf 1
+        let s = unit(&t, 1, &keys);
         assert!(s.placement(NodeId(2)).start < s.placement(NodeId(1)).start);
     }
 
@@ -644,7 +469,7 @@ mod tests {
         // chain: with 4 processors only one can be busy at a time
         let t = TaskTree::chain(5, 2.0, 1.0, 0.0);
         let keys = keys_from_order(&t, &t.postorder());
-        let s = list_schedule(&t, 4, &keys);
+        let s = unit(&t, 4, &keys);
         assert_eq!(s.makespan(), 10.0);
         assert_eq!(s.max_concurrency(), 1);
     }
@@ -655,31 +480,8 @@ mod tests {
         // ready: on the fork, leaves are packed tightly
         let t = TaskTree::fork(7, 1.0, 1.0, 0.0);
         let keys = keys_from_order(&t, &t.postorder());
-        let s = list_schedule(&t, 2, &keys);
+        let s = unit(&t, 2, &keys);
         assert_eq!(s.makespan(), 5.0); // ceil(7/2) = 4 slots, then root
-    }
-
-    #[test]
-    fn reusing_path_matches_generic_path() {
-        // same keys through the fresh-allocation and the scratch-reusing
-        // entry points must yield identical schedules, across trees sharing
-        // one scratch
-        let mut scratch = ListScratch::default();
-        for t in [
-            TaskTree::fork(6, 1.0, 1.0, 0.0),
-            TaskTree::complete(3, 4, 1.0, 1.0, 0.0),
-            TaskTree::chain(9, 2.0, 1.0, 0.0),
-        ] {
-            let keys: Vec<Key3> = keys_from_order(&t, &t.postorder())
-                .into_iter()
-                .map(|k| (k as u64, 0, 0))
-                .collect();
-            for p in [1u32, 3, 8] {
-                let a = list_schedule(&t, p, &keys);
-                let b = list_schedule_reusing(&t, p, &keys, &mut scratch);
-                assert_eq!(a, b);
-            }
-        }
     }
 
     #[test]
@@ -739,7 +541,7 @@ mod tests {
     fn zero_processors_panics() {
         let t = TaskTree::chain(2, 1.0, 1.0, 0.0);
         let keys = keys_from_order(&t, &t.postorder());
-        let _ = list_schedule(&t, 0, &keys);
+        let _ = unit(&t, 0, &keys);
     }
 
     #[test]
@@ -754,15 +556,11 @@ mod tests {
             TaskTree::complete(3, 4, 1.0, 1.0, 0.0),
             TaskTree::chain(7, 2.0, 1.0, 0.0),
         ] {
-            let keys: Vec<Key3> = keys_from_order(&t, &t.postorder())
-                .into_iter()
-                .map(|k| (k as u64, 0, 0))
-                .collect();
+            let keys = keys_from_order(&t, &t.postorder());
             for p in [1usize, 3, 5] {
-                let unit =
-                    list_schedule_with_speeds(&t, Speeds::Unit(p as u32), &keys, &mut scratch);
+                let unit = list_schedule(&t, Speeds::Unit(p as u32), &keys, None, &mut scratch);
                 let ones = vec![1.0f64; p];
-                let per = list_schedule_with_speeds(&t, Speeds::Per(&ones), &keys, &mut scratch);
+                let per = list_schedule(&t, Speeds::Per(&ones), &keys, None, &mut scratch);
                 assert_eq!(unit, per, "p={p}");
             }
         }
@@ -775,10 +573,9 @@ mod tests {
         // also lands on the fast one
         let t = TaskTree::fork(2, 1.0, 1.0, 0.0);
         let keys = keys_from_order(&t, &t.postorder());
-        let keys: Vec<Key3> = keys.into_iter().map(|k| (k as u64, 0, 0)).collect();
         let speeds = [2.0f64, 1.0];
         let mut scratch = ListScratch::default();
-        let s = list_schedule_with_speeds(&t, Speeds::Per(&speeds), &keys, &mut scratch);
+        let s = list_schedule(&t, Speeds::Per(&speeds), &keys, None, &mut scratch);
         // leaf 1 (first in postorder) on proc 0 at speed 2: finishes at 0.5
         assert_eq!(s.placement(NodeId(1)).proc, 0);
         assert_eq!(s.placement(NodeId(1)).finish, 0.5);
@@ -794,14 +591,11 @@ mod tests {
     #[test]
     fn faster_processors_shorten_the_makespan() {
         let t = TaskTree::complete(2, 5, 1.0, 1.0, 0.0);
-        let keys: Vec<Key3> = keys_from_order(&t, &t.postorder())
-            .into_iter()
-            .map(|k| (k as u64, 0, 0))
-            .collect();
+        let keys = keys_from_order(&t, &t.postorder());
         let mut scratch = ListScratch::default();
-        let uniform = list_schedule_with_speeds(&t, Speeds::Unit(4), &keys, &mut scratch);
+        let uniform = list_schedule(&t, Speeds::Unit(4), &keys, None, &mut scratch);
         let boosted = [4.0f64, 1.0, 1.0, 1.0];
-        let het = list_schedule_with_speeds(&t, Speeds::Per(&boosted), &keys, &mut scratch);
+        let het = list_schedule(&t, Speeds::Per(&boosted), &keys, None, &mut scratch);
         assert!(het.makespan() < uniform.makespan());
     }
 }

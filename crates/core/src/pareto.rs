@@ -177,8 +177,7 @@ pub fn dominated_by_frontier(frontier: &[ParetoPoint], makespan: f64, memory: f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::heuristics::Heuristic;
-    use crate::schedule::evaluate;
+    use crate::api::{Platform, Request, SchedulerRegistry};
     use treesched_model::{TaskTree, TreeBuilder};
 
     #[test]
@@ -278,8 +277,10 @@ mod tests {
             for p in [1u32, 2, 3] {
                 let f = pareto_frontier(t, p);
                 assert!(!f.is_empty());
-                for h in Heuristic::ALL {
-                    let ev = evaluate(t, &h.schedule(t, p));
+                for entry in SchedulerRegistry::standard().campaign() {
+                    let h = entry.name();
+                    let req = Request::new(t, Platform::new(p));
+                    let ev = entry.scheduler().schedule_once(&req).unwrap().eval;
                     assert!(
                         dominated_by_frontier(&f, ev.makespan, ev.peak_memory),
                         "{h} p={p}: ({}, {}) beats the exact frontier {f:?}",

@@ -406,20 +406,6 @@ pub fn try_evaluate_on(
     })
 }
 
-/// Evaluates `schedule` against `tree`, validating it first.
-///
-/// # Panics
-///
-/// Panics if the schedule is invalid — heuristics in this crate always
-/// produce valid schedules, so a panic indicates an internal bug. Callers
-/// that evaluate untrusted schedules should use [`try_evaluate`].
-pub fn evaluate(tree: &TaskTree, schedule: &Schedule) -> EvalResult {
-    match try_evaluate(tree, schedule) {
-        Ok(ev) => ev,
-        Err(e) => panic!("invalid schedule: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -593,13 +579,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid schedule")]
-    fn evaluate_panics_on_invalid() {
+    fn try_evaluate_rejects_invalid() {
         let t = TaskTree::chain(2, 1.0, 1.0, 0.0);
         let s = Schedule {
             processors: 1,
             placements: vec![place(0, 0.0, 1.0), place(0, 0.0, 1.0)],
         };
-        let _ = evaluate(&t, &s);
+        assert!(try_evaluate(&t, &s).is_err());
     }
 }

@@ -268,9 +268,21 @@ pub fn long_chain_tree(chains: usize, base_len: usize) -> TaskTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use treesched_core::{evaluate, par_deepest_first, par_inner_first};
+    use treesched_core::{try_evaluate, EvalResult, Platform, Request, SchedulerRegistry};
     use treesched_model::ValidateExt;
     use treesched_seq::liu_exact;
+
+    /// Evaluation of the registry scheduler `name` on `p` processors.
+    fn run(name: &str, tree: &TaskTree, p: u32) -> EvalResult {
+        let req = Request::new(tree, Platform::new(p));
+        let registry = SchedulerRegistry::standard();
+        registry
+            .get(name)
+            .unwrap()
+            .schedule_once(&req)
+            .unwrap()
+            .eval
+    }
 
     #[test]
     fn fig1_shape() {
@@ -291,7 +303,7 @@ mod tests {
         let t = three_partition_tree(&a);
         let groups = [[0usize, 1, 2], [3, 4, 5]];
         let (s, bmem, bcmax) = three_partition_schedule(&t, &a, &groups);
-        let ev = evaluate(&t, &s);
+        let ev = try_evaluate(&t, &s).unwrap();
         assert_eq!(ev.makespan, bcmax);
         assert_eq!(ev.peak_memory, bmem);
         // m = 2, B = 12: B_mem = 72 + 6, B_Cmax = 5
@@ -306,7 +318,7 @@ mod tests {
         let t = three_partition_tree(&a);
         let groups = [[0usize, 1, 2], [3, 4, 5]];
         let (s, bmem, bcmax) = three_partition_schedule(&t, &a, &groups);
-        let ev = evaluate(&t, &s);
+        let ev = try_evaluate(&t, &s).unwrap();
         assert_eq!(ev.makespan, bcmax);
         assert_eq!(ev.peak_memory, bmem);
     }
@@ -370,7 +382,7 @@ mod tests {
         // sequential optimum p + 1
         assert_eq!(liu_exact(&t).peak, (p + 1) as f64);
         // ParInnerFirst with p processors accumulates the join leaves
-        let ev = evaluate(&t, &par_inner_first(&t, p as u32));
+        let ev = run("ParInnerFirst", &t, p as u32);
         assert!(
             ev.peak_memory >= ((k - 1) * (p - 1) + 1) as f64,
             "peak {} too small",
@@ -390,7 +402,7 @@ mod tests {
         let leaf_depths: Vec<u32> = t.leaves().iter().map(|l| depths[l.index()]).collect();
         assert!(leaf_depths.iter().all(|&d| d == leaf_depths[0]));
         // ParDeepestFirst memory grows with the number of chains
-        let ev = evaluate(&t, &par_deepest_first(&t, c as u32));
+        let ev = run("ParDeepestFirst", &t, c as u32);
         assert!(
             ev.peak_memory >= c as f64,
             "peak {} < c {}",

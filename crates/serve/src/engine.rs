@@ -122,9 +122,6 @@ pub struct ServeStats {
     /// Subtrees scheduled through a borrowed view — each one is a subtree
     /// `TaskTree` clone (and its allocations) avoided.
     pub subtree_views: u64,
-    /// Subtrees scheduled through a cloned `TaskTree` (the `LiuExact`
-    /// fallback, the only remaining clone path).
-    pub subtree_clones: u64,
     /// Requests synthesized as [`SchedError::WorkerLost`] records because
     /// their serving worker died first.
     pub worker_lost: u64,
@@ -140,7 +137,6 @@ struct Counters {
     traversal_computes: AtomicU64,
     traversal_reuses: AtomicU64,
     subtree_views: AtomicU64,
-    subtree_clones: AtomicU64,
     worker_lost: AtomicU64,
     reroutes: AtomicU64,
 }
@@ -377,7 +373,6 @@ impl ServeEngine {
             traversal_computes: self.counters.traversal_computes.load(Ordering::Relaxed),
             traversal_reuses: self.counters.traversal_reuses.load(Ordering::Relaxed),
             subtree_views: self.counters.subtree_views.load(Ordering::Relaxed),
-            subtree_clones: self.counters.subtree_clones.load(Ordering::Relaxed),
             worker_lost: self.counters.worker_lost.load(Ordering::Relaxed),
             reroutes: self.counters.reroutes.load(Ordering::Relaxed),
         }
@@ -453,9 +448,6 @@ fn worker_loop(
             counters
                 .subtree_views
                 .fetch_add(now.subtree_views - seen.subtree_views, Ordering::Relaxed);
-            counters
-                .subtree_clones
-                .fetch_add(now.subtree_clones - seen.subtree_clones, Ordering::Relaxed);
             seen = now;
             if results.send(result).is_err() {
                 return; // engine dropped mid-drain

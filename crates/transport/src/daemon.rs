@@ -137,13 +137,12 @@ struct Meters {
 
 /// Snapshot names of the engine counters, mirrored in [`ServeStats`]
 /// field order (see [`Meters::mirror_engine`]).
-const ENGINE_MIRRORS: [&str; 8] = [
+const ENGINE_MIRRORS: [&str; 7] = [
     "engine_requests_total",
     "engine_batches_total",
     "traversal_computes_total",
     "traversal_reuses_total",
     "subtree_views_total",
-    "subtree_clones_total",
     "worker_lost_total",
     "reroutes_total",
 ];
@@ -173,7 +172,6 @@ impl Meters {
             stats.traversal_computes,
             stats.traversal_reuses,
             stats.subtree_views,
-            stats.subtree_clones,
             stats.worker_lost,
             stats.reroutes,
         ];
@@ -677,7 +675,6 @@ mod tests {
         }
         let stats = daemon.stats();
         assert_eq!(stats.requests, 2 * 12, "every request served exactly once");
-        assert_eq!(stats.subtree_clones, 0, "hot path stays allocation-free");
     }
 
     #[test]

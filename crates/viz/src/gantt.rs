@@ -28,12 +28,14 @@ impl Default for GanttOptions {
 ///
 /// ```
 /// use treesched_model::TaskTree;
-/// use treesched_core::Heuristic;
+/// use treesched_core::{Platform, Request, SchedulerRegistry};
 /// use treesched_viz::{gantt, GanttOptions};
 ///
 /// let tree = TaskTree::fork(4, 1.0, 1.0, 0.0);
-/// let s = Heuristic::ParDeepestFirst.schedule(&tree, 2);
-/// let chart = gantt(&tree, &s, GanttOptions::default());
+/// let req = Request::new(&tree, Platform::new(2));
+/// let registry = SchedulerRegistry::standard();
+/// let out = registry.get("deepest").unwrap().schedule_once(&req).unwrap();
+/// let chart = gantt(&tree, &out.schedule, GanttOptions::default());
 /// assert!(chart.contains("p0 |"));
 /// ```
 pub fn gantt(tree: &TaskTree, schedule: &Schedule, opts: GanttOptions) -> String {
@@ -99,13 +101,25 @@ pub fn gantt(tree: &TaskTree, schedule: &Schedule, opts: GanttOptions) -> String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use treesched_core::Heuristic;
+    use treesched_core::{Platform, Request, SchedulerRegistry};
     use treesched_model::TaskTree;
+
+    /// The registry scheduler `name`'s schedule of `tree` on `p` processors.
+    fn schedule(name: &str, tree: &TaskTree, p: u32) -> Schedule {
+        let req = Request::new(tree, Platform::new(p));
+        let registry = SchedulerRegistry::standard();
+        registry
+            .get(name)
+            .unwrap()
+            .schedule_once(&req)
+            .unwrap()
+            .schedule
+    }
 
     #[test]
     fn rows_match_processors() {
         let t = TaskTree::fork(6, 1.0, 1.0, 0.0);
-        let s = Heuristic::ParDeepestFirst.schedule(&t, 3);
+        let s = schedule("ParDeepestFirst", &t, 3);
         let g = gantt(&t, &s, GanttOptions::default());
         assert!(g.contains("p0 |"));
         assert!(g.contains("p1 |"));
@@ -117,7 +131,7 @@ mod tests {
     #[test]
     fn busy_processor_is_filled() {
         let t = TaskTree::chain(5, 1.0, 1.0, 0.0);
-        let s = Heuristic::ParSubtrees.schedule(&t, 1);
+        let s = schedule("ParSubtrees", &t, 1);
         let g = gantt(
             &t,
             &s,
@@ -135,7 +149,7 @@ mod tests {
     #[test]
     fn labels_appear_when_requested() {
         let t = TaskTree::chain(3, 5.0, 1.0, 0.0);
-        let s = Heuristic::ParSubtrees.schedule(&t, 1);
+        let s = schedule("ParSubtrees", &t, 1);
         let g = gantt(
             &t,
             &s,
@@ -159,7 +173,7 @@ mod tests {
     #[test]
     fn zero_width_is_clamped() {
         let t = TaskTree::chain(2, 1.0, 1.0, 0.0);
-        let s = Heuristic::ParSubtrees.schedule(&t, 1);
+        let s = schedule("ParSubtrees", &t, 1);
         let g = gantt(
             &t,
             &s,

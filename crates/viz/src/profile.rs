@@ -88,13 +88,25 @@ pub fn memory_profile_plot(tree: &TaskTree, schedule: &Schedule, opts: ProfileOp
 #[cfg(test)]
 mod tests {
     use super::*;
-    use treesched_core::Heuristic;
+    use treesched_core::{Platform, Request, SchedulerRegistry};
     use treesched_model::TaskTree;
+
+    /// The registry scheduler `name`'s schedule of `tree` on `p` processors.
+    fn schedule(name: &str, tree: &TaskTree, p: u32) -> Schedule {
+        let req = Request::new(tree, Platform::new(p));
+        let registry = SchedulerRegistry::standard();
+        registry
+            .get(name)
+            .unwrap()
+            .schedule_once(&req)
+            .unwrap()
+            .schedule
+    }
 
     #[test]
     fn plot_mentions_peak() {
         let t = TaskTree::fork(5, 1.0, 1.0, 0.0);
-        let s = Heuristic::ParDeepestFirst.schedule(&t, 2);
+        let s = schedule("ParDeepestFirst", &t, 2);
         let plot = memory_profile_plot(&t, &s, ProfileOptions::default());
         let peak = s.peak_memory(&t);
         assert!(plot.contains(&format!("peak {peak:.3}")));
@@ -106,7 +118,7 @@ mod tests {
         // chain: memory is flat at 2 after the first step; the top row of
         // the plot must be reached somewhere
         let t = TaskTree::chain(8, 1.0, 1.0, 0.0);
-        let s = Heuristic::ParSubtrees.schedule(&t, 1);
+        let s = schedule("ParSubtrees", &t, 1);
         let plot = memory_profile_plot(
             &t,
             &s,
@@ -122,7 +134,7 @@ mod tests {
     #[test]
     fn axis_labels_present() {
         let t = TaskTree::fork(3, 1.0, 1.0, 0.0);
-        let s = Heuristic::ParSubtrees.schedule(&t, 2);
+        let s = schedule("ParSubtrees", &t, 2);
         let plot = memory_profile_plot(
             &t,
             &s,

@@ -35,10 +35,10 @@ impl Scheduler for LargestFileFirst {
     fn schedule(&self, req: &Request<'_>, scratch: &mut Scratch) -> Result<Outcome, SchedError> {
         req.validate()?;
         let tree = req.tree;
-        // Scratch::run_list_schedule_on reuses the campaign's ready-queue
+        // Scratch::run_list_schedule reuses the campaign's ready-queue
         // buffers and is platform-aware: any Key3-encodable priority works,
         // on homogeneous and mixed-speed machines alike
-        let schedule = scratch.run_list_schedule_on(tree, &req.platform, |i| {
+        let schedule = scratch.run_list_schedule(tree, &req.platform, |i| {
             (key_from_f64(-tree.output(i)), i.0 as u64, 0)
         });
         let eval = try_evaluate_on(tree, &schedule, &req.platform).map_err(|error| {

@@ -7,7 +7,9 @@
 //! cargo run --release --example memory_cap
 //! ```
 
-use treesched::core::{evaluate, mem_bounded_schedule, memory_reference, Admission, Heuristic};
+use treesched::core::{
+    mem_bounded_schedule, memory_reference, Admission, Platform, Request, SchedulerRegistry,
+};
 use treesched::gen::{assembly_corpus, Scale};
 use treesched::seq::best_postorder;
 
@@ -28,11 +30,18 @@ fn main() {
 
     // unbounded references
     println!("unbounded heuristics:");
-    for h in [Heuristic::ParSubtrees, Heuristic::ParDeepestFirst] {
-        let ev = evaluate(tree, &h.schedule(tree, p));
+    let registry = SchedulerRegistry::standard();
+    let req = Request::new(tree, Platform::new(p));
+    for name in ["ParSubtrees", "ParDeepestFirst"] {
+        let ev = registry
+            .get(name)
+            .unwrap()
+            .schedule_once(&req)
+            .unwrap()
+            .eval;
         println!(
             "  {:<18} makespan {:>10.3e}  memory {:>10.3e} ({:.2} x M_seq)",
-            h.name(),
+            name,
             ev.makespan,
             ev.peak_memory,
             ev.peak_memory / mseq

@@ -6,7 +6,9 @@
 //! cargo run --release --example memory_tradeoff
 //! ```
 
-use treesched::core::{evaluate, makespan_lower_bound, memory_reference, Heuristic};
+use treesched::core::{
+    makespan_lower_bound, memory_reference, Platform, Request, SchedulerRegistry, Scratch,
+};
 use treesched::gen::{assembly_corpus, Scale};
 
 fn main() {
@@ -26,14 +28,17 @@ fn main() {
         "{:<6} {:<18} {:>12} {:>10} {:>12} {:>10}",
         "p", "heuristic", "makespan", "ms/LB", "memory", "mem/seq"
     );
+    let registry = SchedulerRegistry::standard();
+    let mut scratch = Scratch::new();
     for p in [1u32, 2, 4, 8, 16, 32] {
         let lb = makespan_lower_bound(tree, p);
-        for h in Heuristic::ALL {
-            let ev = evaluate(tree, &h.schedule(tree, p));
+        for entry in registry.campaign() {
+            let req = Request::new(tree, Platform::new(p));
+            let ev = entry.scheduler().schedule(&req, &mut scratch).unwrap().eval;
             println!(
                 "{:<6} {:<18} {:>12.3e} {:>10.3} {:>12.3e} {:>10.3}",
                 p,
-                h.name(),
+                entry.name(),
                 ev.makespan,
                 ev.makespan / lb,
                 ev.peak_memory,

@@ -10,9 +10,22 @@
 //! cargo run --release --example pebble_game
 //! ```
 
-use treesched::core::{evaluate, par_deepest_first, par_inner_first, par_subtrees, SeqAlgo};
+use treesched::core::{try_evaluate, EvalResult, Platform, Request, SchedulerRegistry};
 use treesched::gen::theory;
+use treesched::model::TaskTree;
 use treesched::seq::liu_exact;
+
+/// Evaluation of the registry scheduler `name` on `p` processors.
+fn run(name: &str, tree: &TaskTree, p: u32) -> EvalResult {
+    let req = Request::new(tree, Platform::new(p));
+    let registry = SchedulerRegistry::standard();
+    registry
+        .get(name)
+        .unwrap()
+        .schedule_once(&req)
+        .unwrap()
+        .eval
+}
 
 fn main() {
     // --- Figure 1: 3-Partition reduction -------------------------------
@@ -20,7 +33,7 @@ fn main() {
     let tree = theory::three_partition_tree(&a);
     let groups = [[0usize, 1, 2], [3, 4, 5], [6, 7, 8]];
     let (schedule, bmem, bcmax) = theory::three_partition_schedule(&tree, &a, &groups);
-    let ev = evaluate(&tree, &schedule);
+    let ev = try_evaluate(&tree, &schedule).expect("the witness schedule is valid");
     println!("Figure 1 (3-Partition, m=3, B=13): {} nodes", tree.len());
     println!(
         "  witness schedule: makespan {} (bound {bcmax}), memory {} (bound {bmem})",
@@ -40,7 +53,7 @@ fn main() {
         liu_exact(&tree).peak
     );
     for p in [2u32, 8, 32] {
-        let ev = evaluate(&tree, &par_deepest_first(&tree, p));
+        let ev = run("ParDeepestFirst", &tree, p);
         println!(
             "  ParDeepestFirst p={p:<2}: makespan {:>5} memory {:>6}",
             ev.makespan, ev.peak_memory
@@ -54,7 +67,7 @@ fn main() {
     // --- Figure 3: the fork --------------------------------------------
     let (p, k) = (8u32, 32usize);
     let tree = theory::fork_tree(p as usize, k);
-    let ms = evaluate(&tree, &par_subtrees(&tree, p, SeqAlgo::default())).makespan;
+    let ms = run("ParSubtrees", &tree, p).makespan;
     println!(
         "\nFigure 3 (fork, p={p}, k={k}): ParSubtrees makespan {ms}, optimal {}, ratio {:.2} (→ p)",
         k + 1,
@@ -65,7 +78,7 @@ fn main() {
     let (p, k) = (4usize, 12usize);
     let tree = theory::inner_first_gadget(p, k);
     let seq = liu_exact(&tree).peak;
-    let ev = evaluate(&tree, &par_inner_first(&tree, p as u32));
+    let ev = run("ParInnerFirst", &tree, p as u32);
     println!(
         "\nFigure 4 (gadget, p={p}, k={k}): sequential memory {seq}, ParInnerFirst memory {}",
         ev.peak_memory
@@ -75,7 +88,7 @@ fn main() {
     let (chains, len) = (24usize, 8usize);
     let tree = theory::long_chain_tree(chains, len);
     let seq = liu_exact(&tree).peak;
-    let ev = evaluate(&tree, &par_deepest_first(&tree, chains as u32));
+    let ev = run("ParDeepestFirst", &tree, chains as u32);
     println!(
         "\nFigure 5 (long chains, c={chains}): sequential memory {seq}, ParDeepestFirst memory {}",
         ev.peak_memory

@@ -5,7 +5,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use treesched::core::{evaluate, makespan_lower_bound, memory_reference, Heuristic};
+use treesched::core::{
+    makespan_lower_bound, memory_reference, Platform, Request, SchedulerRegistry, Scratch,
+};
 use treesched::seq::{best_postorder, liu_exact};
 use treesched::TreeBuilder;
 
@@ -33,6 +35,8 @@ fn main() {
     );
     println!();
 
+    let registry = SchedulerRegistry::standard();
+    let mut scratch = Scratch::new();
     for p in [2u32, 4] {
         println!(
             "p = {p}   (makespan lower bound {:.1}, sequential memory reference {:.1})",
@@ -43,12 +47,13 @@ fn main() {
             "  {:<18} {:>10} {:>12}",
             "heuristic", "makespan", "peak memory"
         );
-        for h in Heuristic::ALL {
-            let schedule = h.schedule(&tree, p);
-            let ev = evaluate(&tree, &schedule);
+        // the campaign members are the paper's four heuristics
+        for entry in registry.campaign() {
+            let req = Request::new(&tree, Platform::new(p));
+            let ev = entry.scheduler().schedule(&req, &mut scratch).unwrap().eval;
             println!(
                 "  {:<18} {:>10.1} {:>12.1}",
-                h.name(),
+                entry.name(),
                 ev.makespan,
                 ev.peak_memory
             );

@@ -7,7 +7,9 @@
 //! cargo run --release --example sparse_factorization
 //! ```
 
-use treesched::core::{evaluate, makespan_lower_bound, memory_reference, Heuristic};
+use treesched::core::{
+    makespan_lower_bound, memory_reference, Platform, Request, SchedulerRegistry, Scratch,
+};
 use treesched::sparse::{assembly, etree, generate, ordering};
 use treesched::TreeStats;
 
@@ -23,6 +25,8 @@ fn main() {
         pattern.nnz_per_row()
     );
 
+    let registry = SchedulerRegistry::standard();
+    let mut scratch = Scratch::new();
     for (name, ord) in [
         ("natural", ordering::Ordering::natural(pattern.n())),
         ("minimum degree", ordering::min_degree(&pattern)),
@@ -44,11 +48,12 @@ fn main() {
             makespan_lower_bound(&tree, p),
             memory_reference(&tree)
         );
-        for h in Heuristic::ALL {
-            let ev = evaluate(&tree, &h.schedule(&tree, p));
+        for entry in registry.campaign() {
+            let req = Request::new(&tree, Platform::new(p));
+            let ev = entry.scheduler().schedule(&req, &mut scratch).unwrap().eval;
             println!(
                 "    {:<18} makespan {:>10.3e}   memory {:>10.3e}",
-                h.name(),
+                entry.name(),
                 ev.makespan,
                 ev.peak_memory
             );

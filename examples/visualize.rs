@@ -5,7 +5,7 @@
 //! cargo run --release --example visualize
 //! ```
 
-use treesched::core::{evaluate, Heuristic};
+use treesched::core::{Platform, Request, SchedulerRegistry};
 use treesched::gen::theory::inner_first_gadget;
 use treesched::viz::{gantt, memory_profile_plot, tree_sketch, GanttOptions, ProfileOptions};
 
@@ -19,14 +19,14 @@ fn main() {
     );
     println!("{}", tree_sketch(&tree, 24));
 
-    for h in [Heuristic::ParSubtrees, Heuristic::ParInnerFirst] {
-        let schedule = h.schedule(&tree, p as u32);
-        let ev = evaluate(&tree, &schedule);
+    let registry = SchedulerRegistry::standard();
+    let req = Request::new(&tree, Platform::new(p as u32));
+    for name in ["ParSubtrees", "ParInnerFirst"] {
+        let out = registry.get(name).unwrap().schedule_once(&req).unwrap();
+        let (schedule, ev) = (out.schedule, out.eval);
         println!(
             "=== {} — makespan {}, peak memory {} ===",
-            h.name(),
-            ev.makespan,
-            ev.peak_memory
+            name, ev.makespan, ev.peak_memory
         );
         print!(
             "{}",

@@ -1,15 +1,27 @@
 //! Failure injection: corrupted schedules must be rejected by the
 //! validator, malformed inputs must fail cleanly across the stack.
 
-use treesched::core::{Heuristic, Placement, Schedule, ScheduleError};
+use treesched::core::{Placement, Platform, Request, Schedule, ScheduleError, SchedulerRegistry};
 use treesched::gen::{assembly_corpus, random_attachment, Scale, WeightRange};
-use treesched::model::{io, NodeId};
+use treesched::model::{io, NodeId, TaskTree};
+
+/// The registry scheduler `name`'s schedule of `tree` on `p` processors.
+fn schedule(name: &str, tree: &TaskTree, p: u32) -> Schedule {
+    let req = Request::new(tree, Platform::new(p));
+    let registry = SchedulerRegistry::standard();
+    registry
+        .get(name)
+        .unwrap()
+        .schedule_once(&req)
+        .unwrap()
+        .schedule
+}
 
 #[test]
 fn validator_catches_shifted_start() {
     // pull a non-leaf task earlier than its child's finish
     let t = random_attachment(30, WeightRange::MIXED, 7);
-    let mut s = Heuristic::ParDeepestFirst.schedule(&t, 4);
+    let mut s = schedule("ParDeepestFirst", &t, 4);
     assert!(s.validate(&t).is_ok());
     let victim = t
         .ids()
@@ -30,7 +42,7 @@ fn validator_catches_shifted_start() {
 #[test]
 fn validator_catches_truncated_and_stretched_intervals() {
     let t = random_attachment(20, WeightRange::MIXED, 9);
-    let base = Heuristic::ParSubtrees.schedule(&t, 2);
+    let base = schedule("ParSubtrees", &t, 2);
 
     // truncated placement table
     let mut short = base.clone();
@@ -72,7 +84,7 @@ fn validator_catches_truncated_and_stretched_intervals() {
 #[test]
 fn validator_catches_double_booking() {
     let t = random_attachment(25, WeightRange::MIXED, 11);
-    let mut s = Heuristic::ParInnerFirst.schedule(&t, 4);
+    let mut s = schedule("ParInnerFirst", &t, 4);
     // force two concurrent tasks onto one processor
     let mut by_start: Vec<NodeId> = t.ids().collect();
     by_start.sort_by(|&a, &b| s.placement(a).start.total_cmp(&s.placement(b).start));
@@ -126,10 +138,10 @@ fn corrupted_tree_files_fail_cleanly() {
 fn heuristics_are_deterministic_across_runs() {
     let corpus = assembly_corpus(Scale::Small);
     for e in corpus.iter().take(4) {
-        for h in Heuristic::ALL {
-            let a: Schedule = h.schedule(&e.tree, 4);
-            let b: Schedule = h.schedule(&e.tree, 4);
-            assert_eq!(a, b, "{} {h}", e.name);
+        for h in SchedulerRegistry::standard().campaign() {
+            let a = schedule(h.name(), &e.tree, 4);
+            let b = schedule(h.name(), &e.tree, 4);
+            assert_eq!(a, b, "{} {}", e.name, h.name());
         }
     }
 }

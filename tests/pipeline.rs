@@ -1,12 +1,41 @@
 //! End-to-end integration: sparse matrix → ordering → elimination tree →
-//! assembly tree → parallel heuristics → validated schedules and bounds.
+//! assembly tree → every registered scheduler → validated schedules and the
+//! paper's bounds, over the whole small corpus.
 
 use treesched::core::{
-    evaluate, makespan_lower_bound, memory_lower_bound_exact, memory_reference, Heuristic,
+    makespan_lower_bound, memory_lower_bound_exact, memory_reference, Outcome, Platform, Request,
+    SchedulerRegistry, Scratch,
 };
 use treesched::gen::{assembly_corpus, Scale};
-use treesched::model::ValidateExt;
+use treesched::model::{TaskTree, ValidateExt};
 use treesched::sparse::{assembly, etree, generate, ordering};
+
+/// The registry's list schedulers: the two paper heuristics (§5.2, §5.3)
+/// and the three textbook baselines. The memory-capped schedulers are list
+/// schedulers too, but their admission may idle a processor while a task
+/// is ready, so Graham's bound does not apply to them.
+const LIST_SCHEDULERS: [&str; 5] = [
+    "ParInnerFirst",
+    "ParDeepestFirst",
+    "CpList",
+    "FifoList",
+    "RandomList",
+];
+
+/// Schedules `tree` with the registry entry `name` on `p` processors
+/// sharing one memory capped at the sequential reference (the cap only
+/// matters to the memory-capped schedulers).
+fn run(name: &str, tree: &TaskTree, p: u32, scratch: &mut Scratch) -> Outcome {
+    let req = Request::new(
+        tree,
+        Platform::new(p).with_memory_cap(memory_reference(tree)),
+    );
+    SchedulerRegistry::standard()
+        .get(name)
+        .unwrap()
+        .schedule(&req, scratch)
+        .unwrap_or_else(|e| panic!("{name} p={p}: {e}"))
+}
 
 #[test]
 fn full_pipeline_grid_to_schedules() {
@@ -15,17 +44,19 @@ fn full_pipeline_grid_to_schedules() {
     let permuted = pattern.permute(&ord.order);
     let et = etree::elimination_tree(&permuted);
     let cc = etree::column_counts(&permuted, &et);
+    let registry = SchedulerRegistry::standard();
+    let mut scratch = Scratch::new();
     for limit in [1u32, 4] {
         let tree = assembly::assembly_tree_from_etree(&et, &cc, limit).expect("connected");
         tree.validate().expect("valid assembly tree");
         for p in [2u32, 8] {
-            for h in Heuristic::ALL {
-                let s = h.schedule(&tree, p);
-                s.validate(&tree)
+            for h in registry.names() {
+                let out = run(h, &tree, p, &mut scratch);
+                out.schedule
+                    .validate(&tree)
                     .unwrap_or_else(|e| panic!("{h} p={p}: {e}"));
-                let ev = evaluate(&tree, &s);
-                assert!(ev.makespan >= makespan_lower_bound(&tree, p) - 1e-9);
-                assert!(ev.peak_memory >= memory_lower_bound_exact(&tree) - 1e-6);
+                assert!(out.eval.makespan >= makespan_lower_bound(&tree, p) - 1e-9);
+                assert!(out.eval.peak_memory >= memory_lower_bound_exact(&tree) - 1e-6);
             }
         }
     }
@@ -33,16 +64,17 @@ fn full_pipeline_grid_to_schedules() {
 
 #[test]
 fn corpus_scenarios_all_valid_and_bounded() {
-    let corpus = assembly_corpus(Scale::Small);
-    for e in &corpus {
+    let registry = SchedulerRegistry::standard();
+    let mut scratch = Scratch::new();
+    for e in &assembly_corpus(Scale::Small) {
         let tree = &e.tree;
         let mem_exact = memory_lower_bound_exact(tree);
         let mem_ref = memory_reference(tree);
         assert!(mem_exact <= mem_ref + 1e-9, "{}", e.name);
         for p in [2u32, 16] {
             let lb = makespan_lower_bound(tree, p);
-            for h in Heuristic::ALL {
-                let ev = evaluate(tree, &h.schedule(tree, p));
+            for h in registry.names() {
+                let ev = run(h, tree, p, &mut scratch).eval;
                 assert!(ev.makespan >= lb - 1e-9 * lb, "{} {h} p={p}", e.name);
                 assert!(
                     ev.peak_memory >= mem_exact - 1e-9 * mem_exact,
@@ -59,11 +91,11 @@ fn corpus_scenarios_all_valid_and_bounded() {
 #[test]
 fn par_subtrees_memory_guarantee_on_corpus() {
     // paper §5.1: M ≤ (p+1) · M_seq
-    let corpus = assembly_corpus(Scale::Small);
-    for e in &corpus {
+    let mut scratch = Scratch::new();
+    for e in &assembly_corpus(Scale::Small) {
         let mseq = memory_reference(&e.tree);
-        for p in [2u32, 4, 8] {
-            let ev = evaluate(&e.tree, &Heuristic::ParSubtrees.schedule(&e.tree, p));
+        for p in [1u32, 2, 3, 4, 8, 16] {
+            let ev = run("ParSubtrees", &e.tree, p, &mut scratch).eval;
             assert!(
                 ev.peak_memory <= (p as f64 + 1.0) * mseq * (1.0 + 1e-9),
                 "{} p={p}: {} > {}",
@@ -77,19 +109,19 @@ fn par_subtrees_memory_guarantee_on_corpus() {
 
 #[test]
 fn list_schedulers_meet_graham_bound_on_corpus() {
-    // §5.2/§5.3: ParInnerFirst and ParDeepestFirst are list schedulers,
-    // hence (2 − 1/p)-approximations of the optimal makespan; since
-    // Cmax* ≥ LB, their makespan is ≤ (2 − 1/p) · Cmax* which we can only
-    // check against the achievable bound W/p + CP (list scheduling bound).
-    let corpus = assembly_corpus(Scale::Small);
-    for e in &corpus {
+    // §5.2/§5.3: every list scheduler is a (2 − 1/p)-approximation of the
+    // optimal makespan; since Cmax* ≥ LB, their makespan is
+    // ≤ (2 − 1/p) · Cmax*, which we can only check against the achievable
+    // bound W/p + CP·(1 − 1/p) (list scheduling bound).
+    let mut scratch = Scratch::new();
+    for e in &assembly_corpus(Scale::Small) {
         let tree = &e.tree;
         let w = tree.total_work();
         let cp = tree.critical_path();
         for p in [2u32, 8, 32] {
-            for h in [Heuristic::ParInnerFirst, Heuristic::ParDeepestFirst] {
-                let ev = evaluate(tree, &h.schedule(tree, p));
-                let list_bound = w / p as f64 + cp * (1.0 - 1.0 / p as f64);
+            let list_bound = w / p as f64 + cp * (1.0 - 1.0 / p as f64);
+            for h in LIST_SCHEDULERS {
+                let ev = run(h, tree, p, &mut scratch).eval;
                 assert!(
                     ev.makespan <= list_bound * (1.0 + 1e-9),
                     "{} {h} p={p}: {} > {}",
@@ -104,11 +136,12 @@ fn list_schedulers_meet_graham_bound_on_corpus() {
 
 #[test]
 fn single_processor_all_heuristics_sequentialize() {
-    let corpus = assembly_corpus(Scale::Small);
-    for e in corpus.iter().take(8) {
+    let registry = SchedulerRegistry::standard();
+    let mut scratch = Scratch::new();
+    for e in &assembly_corpus(Scale::Small) {
         let tree = &e.tree;
-        for h in Heuristic::ALL {
-            let ev = evaluate(tree, &h.schedule(tree, 1));
+        for h in registry.names() {
+            let ev = run(h, tree, 1, &mut scratch).eval;
             assert!(
                 (ev.makespan - tree.total_work()).abs() <= 1e-9 * tree.total_work(),
                 "{} {h}",
@@ -126,6 +159,12 @@ fn facade_reexports_work() {
     assert_eq!(stats.nodes, 5);
     let r = treesched::seq::best_postorder(&tree);
     assert_eq!(r.peak, 5.0);
-    let s = treesched::core::Heuristic::ParSubtrees.schedule(&tree, 2);
-    assert!(s.validate(&tree).is_ok());
+    let req = treesched::core::Request::new(&tree, treesched::core::Platform::new(2));
+    let registry = treesched::core::SchedulerRegistry::standard();
+    let out = registry
+        .get("subtrees")
+        .unwrap()
+        .schedule_once(&req)
+        .unwrap();
+    assert!(out.schedule.validate(&tree).is_ok());
 }

@@ -1,14 +1,36 @@
-//! Property-based integration tests of the parallel heuristics on random
-//! trees: schedule validity, lower-bound respect, approximation guarantees,
-//! and the memory-capped scheduler's safety theorem.
+//! Property-based integration tests of every registered scheduler on
+//! random trees: schedule validity, lower-bound respect, approximation
+//! guarantees, and the memory-capped scheduler's safety theorem.
 
 use proptest::prelude::*;
 use treesched::core::{
-    evaluate, makespan_lower_bound, mem_bounded_schedule, memory_lower_bound_exact,
-    memory_reference, Admission, Heuristic,
+    makespan_lower_bound, mem_bounded_schedule, memory_lower_bound_exact, memory_reference,
+    Admission, Outcome, Platform, Request, SchedulerRegistry,
 };
 use treesched::model::TaskTree;
 use treesched::seq::best_postorder;
+
+/// The registry's list schedulers, which inherit Graham's `(2 − 1/p)`
+/// bound (the memory-capped ones may idle while a task is ready).
+const LIST_SCHEDULERS: [&str; 5] = [
+    "ParInnerFirst",
+    "ParDeepestFirst",
+    "CpList",
+    "FifoList",
+    "RandomList",
+];
+
+/// Schedules `t` with the registry entry `name` on `p` processors sharing
+/// one memory capped at the sequential reference (the cap only matters to
+/// the memory-capped schedulers).
+fn run(name: &str, t: &TaskTree, p: u32) -> Outcome {
+    let req = Request::new(t, Platform::new(p).with_memory_cap(memory_reference(t)));
+    SchedulerRegistry::standard()
+        .get(name)
+        .unwrap()
+        .schedule_once(&req)
+        .unwrap_or_else(|e| panic!("{name} p={p}: {e}"))
+}
 
 /// Random tree strategy: parent vector with `parents[i] < i`, strictly
 /// positive works (the memory ≥ sequential-optimum theorem needs `w > 0`).
@@ -41,11 +63,10 @@ proptest! {
     ) {
         let mem_lb = memory_lower_bound_exact(&t);
         let ms_lb = makespan_lower_bound(&t, p);
-        for h in Heuristic::ALL {
-            let s = h.schedule(&t, p);
+        for h in SchedulerRegistry::standard().names() {
+            let Outcome { schedule: s, eval: ev, .. } = run(h, &t, p);
             prop_assert!(s.validate(&t).is_ok(), "{h}: invalid schedule");
             prop_assert!(s.max_concurrency() <= p as usize, "{h}: too many procs");
-            let ev = evaluate(&t, &s);
             prop_assert!(ev.makespan >= ms_lb - 1e-9, "{h}: below makespan LB");
             prop_assert!(
                 ev.peak_memory >= mem_lb - 1e-9,
@@ -58,7 +79,7 @@ proptest! {
     #[test]
     fn par_subtrees_memory_bound(t in arb_tree(40), p in 1u32..=8) {
         let mseq = memory_reference(&t);
-        let ev = evaluate(&t, &Heuristic::ParSubtrees.schedule(&t, p));
+        let ev = run("ParSubtrees", &t, p).eval;
         prop_assert!(
             ev.peak_memory <= (p as f64 + 1.0) * mseq + 1e-9,
             "{} > (p+1)·{}", ev.peak_memory, mseq
@@ -69,8 +90,8 @@ proptest! {
     fn list_schedulers_graham_bound(t in arb_tree(40), p in 2u32..=8) {
         let bound = t.total_work() / p as f64
             + t.critical_path() * (1.0 - 1.0 / p as f64);
-        for h in [Heuristic::ParInnerFirst, Heuristic::ParDeepestFirst] {
-            let ev = evaluate(&t, &h.schedule(&t, p));
+        for h in LIST_SCHEDULERS {
+            let ev = run(h, &t, p).eval;
             prop_assert!(ev.makespan <= bound + 1e-9, "{h}: {} > {}", ev.makespan, bound);
         }
     }
@@ -78,7 +99,7 @@ proptest! {
     #[test]
     fn par_subtrees_makespan_equals_predicted_cost(t in arb_tree(40), p in 1u32..=8) {
         let split = treesched::core::split_subtrees(&t, p as usize);
-        let ev = evaluate(&t, &Heuristic::ParSubtrees.schedule(&t, p));
+        let ev = run("ParSubtrees", &t, p).eval;
         prop_assert!(
             (ev.makespan - split.cost).abs() <= 1e-9 * (1.0 + split.cost),
             "realized {} vs predicted {}", ev.makespan, split.cost
@@ -118,8 +139,8 @@ proptest! {
         // sequential traversal whose peak is at most the parallel peak —
         // the argument behind "more processors never need less memory than
         // the sequential optimum" (requires w > 0, which arb_tree ensures)
-        for h in Heuristic::ALL {
-            let s = h.schedule(&t, p);
+        for h in SchedulerRegistry::standard().names() {
+            let s = run(h, &t, p).schedule;
             let mut order: Vec<_> = t.ids().collect();
             order.sort_by(|&a, &b| {
                 s.placement(a).start.total_cmp(&s.placement(b).start).then(a.cmp(&b))
@@ -138,7 +159,7 @@ proptest! {
     fn more_processors_never_hurt_par_subtrees_makespan(t in arb_tree(40)) {
         let mut prev = f64::INFINITY;
         for p in [1u32, 2, 4, 8, 16] {
-            let ev = evaluate(&t, &Heuristic::ParSubtrees.schedule(&t, p));
+            let ev = run("ParSubtrees", &t, p).eval;
             prop_assert!(ev.makespan <= prev + 1e-9, "p={p}: {} > {}", ev.makespan, prev);
             prev = ev.makespan;
         }
