@@ -7,9 +7,9 @@
 //! * [`pattern::SparsePattern`] — symmetric nonzero structures;
 //! * [`generate`] — grid Laplacians, random symmetric and banded patterns
 //!   (the offline substitute for the UF Sparse Matrix Collection);
-//! * [`ordering`] — minimum degree (the `amd` family), reverse
-//!   Cuthill–McKee, and geometric nested dissection (the MeTiS role on
-//!   grids);
+//! * [`ordering`] — exact minimum degree (what `amd` approximates),
+//!   reverse Cuthill–McKee, and geometric nested dissection (the MeTiS
+//!   role on grids);
 //! * [`etree`] — elimination trees (Liu's algorithm) and factor column
 //!   counts, with a reference symbolic factorization as oracle;
 //! * [`assembly`] — relaxed node amalgamation and the multifrontal weight

@@ -2,11 +2,15 @@
 //! geometric nested dissection for grid graphs.
 //!
 //! These substitute for the `amd` and MeTiS orderings of the paper's corpus
-//! pipeline (§6.2): minimum degree is the same algorithmic family as `amd`,
-//! and geometric nested dissection is exact on the grid Laplacians where
-//! MeTiS would be used on general meshes.
+//! pipeline (§6.2). [`min_degree`] is *exact* minimum degree: `amd` is its
+//! approximate-degree variant, which bounds the degrees this code computes
+//! exactly, so the two can break ties differently. Geometric nested
+//! dissection is exact on the grid Laplacians where MeTiS would be used on
+//! general meshes.
 
 use crate::pattern::SparsePattern;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// An elimination ordering: `order[k]` is the original vertex eliminated at
 /// step `k`.
@@ -109,108 +113,492 @@ pub fn reverse_cuthill_mckee(p: &SparsePattern) -> Ordering {
     Ordering { order }
 }
 
-/// Minimum-degree ordering on the quotient (element) graph: at each step the
-/// variable of smallest exterior degree is eliminated, its adjacency merged
-/// into a new *element*, and the degrees of the affected variables are
-/// recomputed exactly. This is the plain (non-approximate, non-supervariable)
-/// form of the algorithm behind `amd`.
+/// Exact minimum-degree ordering: at every step the live variable of
+/// smallest exact external degree in the elimination graph is eliminated,
+/// ties going to the smallest index. This is the exact-degree form of the
+/// algorithm behind `amd`, not its approximate-degree variant, so the order
+/// is fully determined by the pattern.
+///
+/// The elimination graph is kept implicitly as a quotient graph (George &
+/// Liu, SIAM Review 1989): each elimination turns the pivot's neighborhood
+/// into an *element*, a flat member list in one arena. Exact degrees are
+/// maintained with the techniques of Amestoy, Davis & Duff (SIMAX 1996)
+/// that never change a degree:
+///
+/// - indistinguishable variables merge into *supervariables* and count as
+///   weights, so a degree costs one scan per supervariable;
+/// - a member `u` of the new element `Lp` has degree `|Lp| − 1` plus the
+///   weight of its neighborhood outside `Lp`, so only that part is scanned;
+/// - every element whose live members all lie in `Lp` is absorbed, and dead
+///   or merged variables are compacted out of the lists that are scanned.
+///
+/// Supervariables never eliminate their members in bulk: each member is its
+/// own pivot, picked by the same `(degree, index)` rule.
 pub fn min_degree(p: &SparsePattern) -> Ordering {
     let n = p.n();
-    let mut adj_vars: Vec<Vec<u32>> = (0..n).map(|i| p.neighbors(i).to_vec()).collect();
-    let mut adj_elems: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut elems: Vec<Vec<u32>> = Vec::new(); // element -> member variables
-    let mut elem_alive: Vec<bool> = Vec::new();
-    let mut var_alive = vec![true; n];
-    let mut degree: Vec<usize> = (0..n).map(|i| p.degree(i)).collect();
-    // member_mark: which elimination step last saw a variable as a member of
-    // the freshly created element (drives adjacency pruning).
-    // scan_mark: per degree-recomputation scan (drives set-union counting).
-    let mut member_mark = vec![0u32; n];
-    let mut scan_mark = vec![0u32; n];
-    let mut elim_stamp = 0u32;
-    let mut scan_stamp = 0u32;
-
-    // lazy-deletion min-heap of (degree, vertex)
-    let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(usize, u32)>> = (0..n)
-        .map(|i| std::cmp::Reverse((degree[i], i as u32)))
+    let mut g = QuotientGraph::new(p);
+    let mut heap: BinaryHeap<Reverse<(u32, u32, u32)>> = (0..n as u32)
+        .map(|i| Reverse((g.degree[i as usize], i, i)))
         .collect();
-
     let mut order = Vec::with_capacity(n);
-    while let Some(std::cmp::Reverse((d, v))) = heap.pop() {
-        let v = v as usize;
-        if !var_alive[v] || d != degree[v] {
-            continue; // stale entry
+    while let Some(Reverse((d, x, s))) = heap.pop() {
+        let s = s as usize;
+        // valid iff `x` is still the smallest live member of principal `s`
+        // and `d` is its current degree
+        if g.nv[s] == 0 || g.head[s] != x || g.degree[s] != d {
+            continue;
         }
-        order.push(v as u32);
-        var_alive[v] = false;
+        order.push(x);
+        g.eliminate(s, &mut heap);
+    }
+    Ordering { order }
+}
 
-        // gather the variables of the new element: live var-neighbors plus
-        // the members of all adjacent elements
-        elim_stamp += 1;
-        let mut members: Vec<u32> = Vec::new();
-        for &u in &adj_vars[v] {
-            let ui = u as usize;
-            if var_alive[ui] && member_mark[ui] != elim_stamp {
-                member_mark[ui] = elim_stamp;
-                members.push(u);
+/// End of a member list.
+const NONE: u32 = u32::MAX;
+
+/// An element: the clique left behind by one elimination.
+#[derive(Clone, Copy)]
+struct Element {
+    /// Members live in `arena[start .. start + len]`.
+    start: usize,
+    len: u32,
+    /// When `stamp == step`: the members outside the current pivot's
+    /// element come first, `out` of them with total weight `ext`.
+    out: u32,
+    ext: u32,
+    stamp: u32,
+    /// Scratch mark for list comparisons.
+    mark: u32,
+    alive: bool,
+}
+
+/// The quotient graph of [`min_degree`]. Variables are named by their
+/// original index; a *principal* variable `i` (`nv[i] > 0`) stands for a
+/// supervariable of `nv[i]` live variables.
+struct QuotientGraph {
+    /// Supervariable weight; 0 once merged into another or fully
+    /// eliminated.
+    nv: Vec<u32>,
+    /// Exact external degree of every member of a principal.
+    degree: Vec<u32>,
+    /// Live members of each principal in increasing index order:
+    /// `head[i]`, then `next[head[i]]`, …
+    head: Vec<u32>,
+    next: Vec<u32>,
+    /// Adjacency of each principal in `iw[pe[i] .. pe[i] + len[i]]`: its
+    /// `elen[i]` elements first, then its variable neighbors. A list never
+    /// outgrows the original degree of its variable.
+    pe: Vec<usize>,
+    len: Vec<u32>,
+    elen: Vec<u32>,
+    iw: Vec<u32>,
+    elements: Vec<Element>,
+    /// Element member lists, back to back; `live` counts the entries of
+    /// alive elements, the rest is garbage awaiting compaction.
+    arena: Vec<u32>,
+    live: usize,
+    /// Variable marks. Within one step, the members of the new element
+    /// carry `lp_mark` and every scratch set (a union, a list comparison)
+    /// a fresh `tick` below it, so one comparison against a tick tests
+    /// both "inside the element" and "already seen".
+    mark: Vec<u32>,
+    tick: u32,
+    lp_mark: u32,
+    /// Elimination steps so far, the stamp of `Element::ext`.
+    step: u32,
+    /// `(hash, principal)` of the current element's members.
+    hashes: Vec<(u64, u32)>,
+}
+
+impl QuotientGraph {
+    fn new(p: &SparsePattern) -> QuotientGraph {
+        let n = p.n();
+        let mut pe = Vec::with_capacity(n);
+        let mut iw = Vec::with_capacity(p.nnz_offdiag());
+        for i in 0..n {
+            pe.push(iw.len());
+            iw.extend_from_slice(p.neighbors(i));
+        }
+        let degree: Vec<u32> = (0..n).map(|i| p.degree(i) as u32).collect();
+        QuotientGraph {
+            nv: vec![1; n],
+            len: degree.clone(),
+            degree,
+            head: (0..n as u32).collect(),
+            next: vec![NONE; n],
+            pe,
+            elen: vec![0; n],
+            iw,
+            elements: Vec::new(),
+            arena: Vec::new(),
+            live: 0,
+            mark: vec![0; n],
+            tick: 0,
+            lp_mark: 0,
+            step: 0,
+            hashes: Vec::new(),
+        }
+    }
+
+    /// A fresh scratch mark for `mark` and `Element::mark`.
+    fn next_tick(&mut self) -> u32 {
+        self.tick += 1;
+        debug_assert!(self.tick < self.lp_mark);
+        self.tick
+    }
+
+    /// Reserves the marks of one step whose pivot has degree `d`: the new
+    /// element has at most `d` members, each using at most two ticks.
+    fn start_marks(&mut self, d: u32) {
+        let reserve = 2 * d + 2;
+        if u32::MAX - self.tick <= reserve {
+            self.mark.fill(0);
+            for e in &mut self.elements {
+                e.mark = 0;
+            }
+            self.tick = 0;
+        }
+        self.lp_mark = self.tick + reserve;
+    }
+
+    /// Eliminates the smallest member of principal `s` and pushes the new
+    /// degree of every principal whose degree changed.
+    fn eliminate(&mut self, s: usize, heap: &mut BinaryHeap<Reverse<(u32, u32, u32)>>) {
+        let x = self.head[s] as usize;
+        self.head[s] = self.next[x];
+        self.nv[s] -= 1;
+        self.step += 1;
+        self.start_marks(self.degree[s]);
+        if self.arena.len() >= 2 * self.live + self.nv.len() {
+            self.collect_garbage();
+        }
+        let (p, weight) = self.new_element(s);
+        debug_assert_eq!(weight, self.degree[s]);
+        let lo = self.elements[p].start;
+        let hi = lo + self.elements[p].len as usize;
+        self.split_elements(lo, hi);
+        self.prune_lists(p as u32, lo, hi);
+        self.merge_indistinguishable();
+        self.update_degrees(p, weight, lo, hi, heap);
+        self.tick = self.lp_mark;
+    }
+
+    /// Builds the element of the pivot (a member of `s`): what is left of
+    /// `s` itself, its variable neighbors and the members of its elements,
+    /// which are absorbed. Marks the members with `lp_mark` and returns the
+    /// element with its total weight.
+    fn new_element(&mut self, s: usize) -> (usize, u32) {
+        let lp = self.lp_mark;
+        let start = self.arena.len();
+        let mut weight = 0;
+        if self.nv[s] > 0 {
+            self.mark[s] = lp;
+            self.arena.push(s as u32);
+            weight += self.nv[s];
+        }
+        let base = self.pe[s];
+        let vars = base + self.elen[s] as usize;
+        for k in vars..base + self.len[s] as usize {
+            let v = self.iw[k] as usize;
+            if self.nv[v] > 0 && self.mark[v] != lp {
+                self.mark[v] = lp;
+                self.arena.push(v as u32);
+                weight += self.nv[v];
             }
         }
-        for &e in &adj_elems[v] {
-            if !elem_alive[e as usize] {
+        for k in base..vars {
+            let e = self.iw[k] as usize;
+            if !self.elements[e].alive {
                 continue;
             }
-            for &u in &elems[e as usize] {
-                let ui = u as usize;
-                if var_alive[ui] && member_mark[ui] != elim_stamp {
-                    member_mark[ui] = elim_stamp;
-                    members.push(u);
+            let from = self.elements[e].start;
+            for j in from..from + self.elements[e].len as usize {
+                let v = self.arena[j] as usize;
+                if self.nv[v] > 0 && self.mark[v] != lp {
+                    self.mark[v] = lp;
+                    self.arena.push(v as u32);
+                    weight += self.nv[v];
                 }
             }
-            elem_alive[e as usize] = false; // absorbed
+            self.kill(e);
         }
-        let e_new = elems.len() as u32;
-        elems.push(members.clone());
-        elem_alive.push(true);
+        let len = (self.arena.len() - start) as u32;
+        self.live += len as usize;
+        self.elements.push(Element {
+            start,
+            len,
+            out: 0,
+            ext: 0,
+            stamp: 0,
+            mark: 0,
+            alive: true,
+        });
+        (self.elements.len() - 1, weight)
+    }
 
-        // first pass: prune every member's adjacency (vars covered by e_new
-        // or dead) and attach the new element
-        for &u in &members {
-            let ui = u as usize;
-            adj_vars[ui].retain(|&w| {
-                let wi = w as usize;
-                var_alive[wi] && member_mark[wi] != elim_stamp
-            });
-            adj_elems[ui].retain(|&e| elem_alive[e as usize]);
-            adj_elems[ui].push(e_new);
-        }
-        // second pass: recompute each member's exact exterior degree
-        // |adj_vars[u] ∪ (∪_{e ∈ adj_elems[u]} vars(e))  {u}|
-        for &u in &members {
-            let ui = u as usize;
-            scan_stamp += 1;
-            scan_mark[ui] = scan_stamp; // exclude self
-            let mut deg = 0usize;
-            for &w in &adj_vars[ui] {
-                let wi = w as usize;
-                if var_alive[wi] && scan_mark[wi] != scan_stamp {
-                    scan_mark[wi] = scan_stamp;
-                    deg += 1;
+    fn kill(&mut self, e: usize) {
+        self.elements[e].alive = false;
+        self.live -= self.elements[e].len as usize;
+    }
+
+    /// Reorders every alive element adjacent to the new element's members
+    /// `arena[lo..hi]` so that its members outside the new element come
+    /// first, counting them and their weight, and compacts out the
+    /// variables that are no longer principal.
+    fn split_elements(&mut self, lo: usize, hi: usize) {
+        let (step, lp) = (self.step, self.lp_mark);
+        for k in lo..hi {
+            let u = self.arena[k] as usize;
+            let base = self.pe[u];
+            for j in base..base + self.elen[u] as usize {
+                let e = self.iw[j] as usize;
+                let el = self.elements[e];
+                if !el.alive || el.stamp == step {
+                    continue;
                 }
+                let (mut out, mut kept, mut ext) = (el.start, el.start, 0);
+                for r in el.start..el.start + el.len as usize {
+                    let v = self.arena[r];
+                    let weight = self.nv[v as usize];
+                    if weight == 0 {
+                        continue;
+                    }
+                    self.arena[kept] = v;
+                    if self.mark[v as usize] != lp {
+                        self.arena.swap(kept, out);
+                        out += 1;
+                        ext += weight;
+                    }
+                    kept += 1;
+                }
+                self.live -= el.start + el.len as usize - kept;
+                self.elements[e] = Element {
+                    len: (kept - el.start) as u32,
+                    out: (out - el.start) as u32,
+                    ext,
+                    stamp: step,
+                    ..el
+                };
             }
-            for &e in &adj_elems[ui] {
-                for &w in &elems[e as usize] {
-                    let wi = w as usize;
-                    if var_alive[wi] && scan_mark[wi] != scan_stamp {
-                        scan_mark[wi] = scan_stamp;
-                        deg += 1;
+        }
+    }
+
+    /// Rewrites the list of every member of the new element `p`: drops dead
+    /// elements and absorbs those with nothing outside `p`, drops variables
+    /// covered by `p` or no longer principal, and adds `p`. Records each
+    /// list's hash for [`Self::merge_indistinguishable`].
+    fn prune_lists(&mut self, p: u32, lo: usize, hi: usize) {
+        self.hashes.clear();
+        for k in lo..hi {
+            let u = self.arena[k] as usize;
+            let base = self.pe[u];
+            let old_end = base + self.len[u] as usize;
+            let vars = base + self.elen[u] as usize;
+            let mut w = base;
+            let mut hash = (p as u64) << 32;
+            for j in base..vars {
+                let e = self.iw[j] as usize;
+                if !self.elements[e].alive {
+                    continue;
+                }
+                if self.elements[e].ext == 0 {
+                    self.kill(e);
+                    continue;
+                }
+                self.iw[w] = e as u32;
+                w += 1;
+                hash = hash.wrapping_add((e as u64) << 32);
+            }
+            let kept_elements = w;
+            for j in vars..old_end {
+                let v = self.iw[j];
+                if self.nv[v as usize] == 0 || self.mark[v as usize] == self.lp_mark {
+                    continue;
+                }
+                self.iw[w] = v;
+                w += 1;
+                hash = hash.wrapping_add(v as u64);
+            }
+            // put `p` at the end of the elements, moving the first variable
+            // to the end; every member lost at least one entry (the pivot's
+            // supervariable or an absorbed element), so `w < old_end`
+            debug_assert!(w < old_end);
+            self.iw[w] = self.iw[kept_elements];
+            self.iw[kept_elements] = p;
+            self.elen[u] = (kept_elements + 1 - base) as u32;
+            self.len[u] = (w + 1 - base) as u32;
+            self.hashes.push((hash, u as u32));
+        }
+    }
+
+    /// Merges members of the new element whose lists are equal: they are
+    /// indistinguishable, now and until one of them is eliminated.
+    fn merge_indistinguishable(&mut self) {
+        if self.hashes.len() < 2 {
+            return;
+        }
+        let mut hashes = std::mem::take(&mut self.hashes);
+        hashes.sort_unstable();
+        let mut a = 0;
+        while a < hashes.len() {
+            let mut b = a + 1;
+            while b < hashes.len() && hashes[b].0 == hashes[a].0 {
+                b += 1;
+            }
+            for i in a..b {
+                let ui = hashes[i].1 as usize;
+                if self.nv[ui] == 0 || i + 1 == b {
+                    continue;
+                }
+                let t = self.next_tick();
+                let (base, elen) = (self.pe[ui], self.elen[ui] as usize);
+                for k in base..base + elen {
+                    self.elements[self.iw[k] as usize].mark = t;
+                }
+                for k in base + elen..base + self.len[ui] as usize {
+                    self.mark[self.iw[k] as usize] = t;
+                }
+                for &(_, uj) in &hashes[i + 1..b] {
+                    let uj = uj as usize;
+                    if self.nv[uj] > 0 && self.same_list(uj, ui, t) {
+                        self.nv[ui] += self.nv[uj];
+                        self.nv[uj] = 0;
+                        self.head[ui] = merge_members(&mut self.next, self.head[ui], self.head[uj]);
                     }
                 }
             }
-            degree[ui] = deg;
-            heap.push(std::cmp::Reverse((deg, u)));
+            a = b;
         }
+        self.hashes = hashes;
     }
-    Ordering { order }
+
+    /// `true` when `uj`'s list has the shape of `ui`'s and every entry
+    /// carries `ui`'s mark `t`.
+    fn same_list(&self, uj: usize, ui: usize, t: u32) -> bool {
+        let (base, elen, len) = (self.pe[uj], self.elen[uj] as usize, self.len[uj] as usize);
+        elen == self.elen[ui] as usize
+            && len == self.len[ui] as usize
+            && self.iw[base..base + elen]
+                .iter()
+                .all(|&e| self.elements[e as usize].mark == t)
+            && self.iw[base + elen..base + len]
+                .iter()
+                .all(|&v| self.mark[v as usize] == t)
+    }
+
+    /// Recomputes the exact degree of every principal member of the new
+    /// element `p` of total weight `weight` (members `arena[lo..hi]`):
+    /// `weight − 1` plus the weight of the union of its variable neighbors
+    /// and of the outside parts of its other elements.
+    fn update_degrees(
+        &mut self,
+        p: usize,
+        weight: u32,
+        lo: usize,
+        hi: usize,
+        heap: &mut BinaryHeap<Reverse<(u32, u32, u32)>>,
+    ) {
+        if lo == hi {
+            // an isolated pivot leaves an empty element behind
+            self.kill(p);
+            return;
+        }
+        for k in lo..hi {
+            let u = self.arena[k] as usize;
+            if self.nv[u] == 0 {
+                continue;
+            }
+            let base = self.pe[u];
+            let vars = base + self.elen[u] as usize;
+            let end = base + self.len[u] as usize;
+            // `p` is one of the elements
+            let others = vars - base - 1;
+            let outside = if others == 0 {
+                self.iw[vars..end]
+                    .iter()
+                    .map(|&v| self.nv[v as usize])
+                    .sum()
+            } else if others == 1 && vars == end {
+                let e = self.iw[base..vars].iter().find(|&&e| e as usize != p);
+                self.elements[*e.unwrap() as usize].ext
+            } else {
+                let t = self.next_tick();
+                let mut outside = 0;
+                for j in vars..end {
+                    let v = self.iw[j] as usize;
+                    self.mark[v] = t;
+                    outside += self.nv[v];
+                }
+                for j in base..vars {
+                    let e = self.iw[j] as usize;
+                    if e == p {
+                        continue;
+                    }
+                    let Element { start, out, .. } = self.elements[e];
+                    for r in start..start + out as usize {
+                        let v = self.arena[r] as usize;
+                        let m = self.mark[v];
+                        self.mark[v] = t;
+                        outside += if m != t { self.nv[v] } else { 0 };
+                    }
+                }
+                outside
+            };
+            self.degree[u] = weight - 1 + outside;
+            heap.push(Reverse((self.degree[u], self.head[u], u as u32)));
+        }
+        // drop the members merged away from the new element itself
+        let mut w = lo;
+        for r in lo..hi {
+            let v = self.arena[r];
+            if self.nv[v as usize] > 0 {
+                self.arena[w] = v;
+                w += 1;
+            }
+        }
+        self.live -= hi - w;
+        self.elements[p].len = (w - lo) as u32;
+    }
+
+    /// Moves the alive element lists to the front of the arena.
+    fn collect_garbage(&mut self) {
+        let mut w = 0;
+        for el in self.elements.iter_mut().filter(|el| el.alive) {
+            let len = el.len as usize;
+            self.arena.copy_within(el.start..el.start + len, w);
+            el.start = w;
+            w += len;
+        }
+        self.arena.truncate(w);
+        debug_assert_eq!(w, self.live);
+    }
+}
+
+/// Merges two increasing member lists threaded through `next`.
+fn merge_members(next: &mut [u32], mut a: u32, mut b: u32) -> u32 {
+    if a == NONE {
+        return b;
+    }
+    if b == NONE {
+        return a;
+    }
+    if b < a {
+        std::mem::swap(&mut a, &mut b);
+    }
+    let head = a;
+    let mut tail = a;
+    a = next[a as usize];
+    while a != NONE && b != NONE {
+        if b < a {
+            std::mem::swap(&mut a, &mut b);
+        }
+        next[tail as usize] = a;
+        tail = a;
+        a = next[a as usize];
+    }
+    next[tail as usize] = if a == NONE { b } else { a };
+    head
 }
 
 /// Geometric nested dissection for a 2D grid: recursively order the two

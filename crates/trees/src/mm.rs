@@ -23,7 +23,8 @@ use treesched_sparse::{assembly_tree_ordered, Ordering, SparsePattern};
 pub enum OrderingKind {
     /// Keep the file's column order.
     Natural,
-    /// Approximate minimum degree (the paper's evaluation setup).
+    /// Exact minimum degree, spelled `amd` after the paper's evaluation
+    /// setup, whose approximate-degree `amd` it stands in for.
     #[default]
     MinDegree,
     /// Reverse Cuthill–McKee.
@@ -31,7 +32,8 @@ pub enum OrderingKind {
 }
 
 impl OrderingKind {
-    /// Parses a CLI/spec spelling: `natural`, `amd`/`mindeg`, `rcm`.
+    /// Parses a CLI/spec spelling: `natural`, `amd`/`mindeg`/`min-degree`,
+    /// `rcm`.
     pub fn parse(s: &str) -> Option<OrderingKind> {
         match s {
             "natural" => Some(OrderingKind::Natural),
@@ -62,7 +64,8 @@ impl OrderingKind {
 /// How a MatrixMarket pattern becomes a task tree.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IngestOptions {
-    /// Fill-reducing ordering (default AMD, like the paper).
+    /// Fill-reducing ordering (default `amd`: exact minimum degree, like the
+    /// paper's `amd` setup).
     pub ordering: OrderingKind,
     /// Relaxed-amalgamation limit; `1` keeps the bare elimination tree.
     pub amalg: u32,
