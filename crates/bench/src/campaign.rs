@@ -578,15 +578,7 @@ impl CampaignRunner {
         Ok(Campaign {
             name: spec.name.clone(),
             records,
-            stats: ServeStats {
-                requests: after.requests - before.requests,
-                batches: after.batches - before.batches,
-                traversal_computes: after.traversal_computes - before.traversal_computes,
-                traversal_reuses: after.traversal_reuses - before.traversal_reuses,
-                subtree_views: after.subtree_views - before.subtree_views,
-                worker_lost: after.worker_lost - before.worker_lost,
-                reroutes: after.reroutes - before.reroutes,
-            },
+            stats: after.since(&before),
         })
     }
 }

@@ -925,19 +925,6 @@ pub fn serve_jsonl(input: &str, workers: usize, default_platform: Option<&Platfo
     serve_jsonl_with_metrics(input, workers, default_platform).0
 }
 
-/// Metric names mirrored from [`treesched_serve::ServeStats`] into the
-/// batch snapshot — the same spellings the serve daemon registers, so
-/// scrapes of either surface read identically.
-const ENGINE_MIRRORS: [&str; 7] = [
-    "engine_requests_total",
-    "engine_batches_total",
-    "traversal_computes_total",
-    "traversal_reuses_total",
-    "subtree_views_total",
-    "worker_lost_total",
-    "reroutes_total",
-];
-
 /// As [`serve_jsonl`], additionally returning the final metrics snapshot
 /// as one `{"op":"metrics",...}` JSONL record (the `--metrics-out` body):
 /// stage spans for the parse and drain phases, a log2 histogram of
@@ -956,10 +943,9 @@ pub fn serve_jsonl_with_metrics(
     // registration order is snapshot field order: engine mirrors, the
     // schedule-time histogram, then the stage spans
     let metrics = treesched_obs::MetricsRegistry::new();
-    let mirrors: Vec<_> = ENGINE_MIRRORS
-        .iter()
-        .map(|name| metrics.counter(name))
-        .collect();
+    for (name, _) in engine.stats().named_counters() {
+        metrics.counter(&name);
+    }
     let schedule_us = metrics.histogram("schedule_time_us");
     let parse_span = metrics.span("span_parse");
     let drain_span = metrics.span("span_drain");
@@ -987,17 +973,8 @@ pub fn serve_jsonl_with_metrics(
         schedule_us.record(result.time_us);
         slots[submitted[k]] = Some(treesched_serve::result_json(result));
     }
-    let stats = engine.stats();
-    for (mirror, value) in mirrors.iter().zip([
-        stats.requests,
-        stats.batches,
-        stats.traversal_computes,
-        stats.traversal_reuses,
-        stats.subtree_views,
-        stats.worker_lost,
-        stats.reroutes,
-    ]) {
-        mirror.store(value);
+    for (name, value) in engine.stats().named_counters() {
+        metrics.counter(&name).store(value);
     }
     let snapshot = metrics
         .snapshot()

@@ -108,7 +108,7 @@ pub struct ServeResult {
 }
 
 /// Aggregate engine counters since construction.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Requests served (successes and typed failures).
     pub requests: u64,
@@ -128,9 +128,78 @@ pub struct ServeStats {
     /// Batches delivered to a worker other than their fingerprint-preferred
     /// one because the preferred worker was dead.
     pub reroutes: u64,
+    /// Requests each worker served, by worker index (one entry per worker;
+    /// requests lost with a dead worker count in `worker_lost` instead).
+    pub worker_requests: Vec<u64>,
 }
 
-#[derive(Default)]
+impl ServeStats {
+    /// Zeroed counters for an engine of `workers` workers.
+    pub fn idle(workers: usize) -> ServeStats {
+        ServeStats {
+            worker_requests: vec![0; workers.max(1)],
+            ..ServeStats::default()
+        }
+    }
+
+    /// The counters accumulated since the earlier reading `before` of the
+    /// same engine.
+    pub fn since(&self, before: &ServeStats) -> ServeStats {
+        ServeStats {
+            requests: self.requests - before.requests,
+            batches: self.batches - before.batches,
+            traversal_computes: self.traversal_computes - before.traversal_computes,
+            traversal_reuses: self.traversal_reuses - before.traversal_reuses,
+            subtree_views: self.subtree_views - before.subtree_views,
+            worker_lost: self.worker_lost - before.worker_lost,
+            reroutes: self.reroutes - before.reroutes,
+            worker_requests: self
+                .worker_requests
+                .iter()
+                .zip(&before.worker_requests)
+                .map(|(now, then)| now - then)
+                .collect(),
+        }
+    }
+
+    /// Every counter under its metrics-snapshot name, in field order:
+    /// `engine_requests_total`, `engine_batches_total`,
+    /// `traversal_computes_total`, `traversal_reuses_total`,
+    /// `subtree_views_total`, `worker_lost_total`, `reroutes_total`, then
+    /// `worker_{w}_requests_total` for each worker `w`. The serve daemon
+    /// and batch `serve` both mirror these, so scrapes of either surface
+    /// read identically.
+    pub fn named_counters(&self) -> Vec<(String, u64)> {
+        let totals = [
+            ("engine_requests_total", self.requests),
+            ("engine_batches_total", self.batches),
+            ("traversal_computes_total", self.traversal_computes),
+            ("traversal_reuses_total", self.traversal_reuses),
+            ("subtree_views_total", self.subtree_views),
+            ("worker_lost_total", self.worker_lost),
+            ("reroutes_total", self.reroutes),
+        ];
+        let per_worker = self
+            .worker_requests
+            .iter()
+            .enumerate()
+            .map(|(w, &n)| (format!("worker_{w}_requests_total"), n));
+        totals
+            .into_iter()
+            .map(|(name, n)| (name.to_string(), n))
+            .chain(per_worker)
+            .collect()
+    }
+}
+
+/// The worker that serves a tree of fingerprint `fp` among `workers`.
+///
+/// [`tree_fingerprint`] is odd by construction, so its low bits would
+/// never pick an even worker; routing reads the high 32 bits instead.
+pub fn route(fp: u64, workers: usize) -> usize {
+    ((fp >> 32) % workers.max(1) as u64) as usize
+}
+
 struct Counters {
     requests: AtomicU64,
     batches: AtomicU64,
@@ -139,6 +208,22 @@ struct Counters {
     subtree_views: AtomicU64,
     worker_lost: AtomicU64,
     reroutes: AtomicU64,
+    worker_requests: Vec<AtomicU64>,
+}
+
+impl Counters {
+    fn new(workers: usize) -> Counters {
+        Counters {
+            requests: AtomicU64::new(0),
+            batches: AtomicU64::new(0),
+            traversal_computes: AtomicU64::new(0),
+            traversal_reuses: AtomicU64::new(0),
+            subtree_views: AtomicU64::new(0),
+            worker_lost: AtomicU64::new(0),
+            reroutes: AtomicU64::new(0),
+            worker_requests: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
 }
 
 type Batch = Vec<(u64, ServeRequest)>;
@@ -171,18 +256,18 @@ impl ServeEngine {
     /// own handle to the same registry the workers serve from.
     pub fn with_registry(registry: Arc<SchedulerRegistry>, workers: usize) -> ServeEngine {
         let workers = workers.max(1);
-        let counters = Arc::new(Counters::default());
+        let counters = Arc::new(Counters::new(workers));
         let (results_tx, results_rx) = channel();
         let mut txs = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
+        for w in 0..workers {
             let (tx, rx) = channel::<Batch>();
             let registry = Arc::clone(&registry);
             let results = results_tx.clone();
             let counters = Arc::clone(&counters);
             txs.push(tx);
             handles.push(std::thread::spawn(move || {
-                worker_loop(&rx, &registry, &results, &counters)
+                worker_loop(w, &rx, &registry, &results, &counters)
             }));
         }
         ServeEngine {
@@ -220,8 +305,8 @@ impl ServeEngine {
     ///
     /// Queued requests are grouped by the structural fingerprint of their
     /// tree — one batch per distinct tree, in first-appearance order — and
-    /// each batch goes to the worker `fingerprint % workers`, keeping
-    /// same-tree traffic on one warm scratch.
+    /// each batch goes to the worker [`route`] picks for the fingerprint,
+    /// keeping same-tree traffic on one warm scratch.
     ///
     /// A dead worker (a user scheduler panicked — the built-in schedulers
     /// return typed errors instead) never hangs or fails the drain: batches
@@ -269,7 +354,7 @@ impl ServeEngine {
         let mut in_flight: HashMap<u64, (usize, LostContext)> = HashMap::new();
         let workers = self.txs.len();
         for (fp, batch) in batches {
-            let preferred = (fp % workers as u64) as usize;
+            let preferred = route(fp, workers);
             // context is captured before sending: once sent, the requests
             // belong to the worker
             let contexts: Vec<(u64, LostContext)> = batch
@@ -375,6 +460,12 @@ impl ServeEngine {
             subtree_views: self.counters.subtree_views.load(Ordering::Relaxed),
             worker_lost: self.counters.worker_lost.load(Ordering::Relaxed),
             reroutes: self.counters.reroutes.load(Ordering::Relaxed),
+            worker_requests: self
+                .counters
+                .worker_requests
+                .iter()
+                .map(|n| n.load(Ordering::Relaxed))
+                .collect(),
         }
     }
 }
@@ -421,6 +512,7 @@ impl Drop for ServeEngine {
 }
 
 fn worker_loop(
+    worker: usize,
     rx: &Receiver<Batch>,
     registry: &SchedulerRegistry,
     results: &Sender<ServeResult>,
@@ -437,6 +529,7 @@ fn worker_loop(
             let result = serve_one(registry, &request, &mut scratch, index);
             let now = scratch.stats();
             counters.requests.fetch_add(1, Ordering::Relaxed);
+            counters.worker_requests[worker].fetch_add(1, Ordering::Relaxed);
             counters.traversal_computes.fetch_add(
                 now.traversal_computes - seen.traversal_computes,
                 Ordering::Relaxed,
@@ -526,6 +619,64 @@ mod tests {
             Arc::new(TaskTree::complete(2, 4, 1.0, 2.0, 0.5)),
             Arc::new(TaskTree::chain(12, 2.0, 1.0, 0.5)),
         ]
+    }
+
+    #[test]
+    fn the_medium_corpus_keeps_every_worker_busy() {
+        use treesched_gen::{assembly_corpus, Scale};
+        let trees: Vec<Arc<TaskTree>> = assembly_corpus(Scale::Medium)
+            .into_iter()
+            .map(|e| Arc::new(e.tree))
+            .collect();
+        for workers in [2, 4, 8] {
+            let mut routed = vec![0u64; workers];
+            for t in &trees {
+                routed[route(tree_fingerprint(t), workers)] += 1;
+            }
+            let ideal = trees.len() as f64 / workers as f64;
+            let worst = *routed.iter().max().unwrap() as f64 / ideal;
+            if workers <= 4 {
+                assert!(worst <= 1.25, "{workers} workers: {routed:?}");
+            }
+            // one request per tree: every worker serves a batch, and the
+            // per-worker counters are the routing table
+            let mut engine = ServeEngine::new(SchedulerRegistry::standard(), workers);
+            for t in &trees {
+                engine.submit(ServeRequest::new(
+                    Arc::clone(t),
+                    "deepest",
+                    Platform::new(2),
+                ));
+            }
+            assert_eq!(engine.drain().len(), trees.len());
+            let served = engine.stats().worker_requests;
+            assert!(
+                served.iter().all(|&n| n > 0),
+                "{workers} workers: {served:?}"
+            );
+            assert_eq!(served, routed);
+        }
+    }
+
+    #[test]
+    fn stats_name_every_counter_and_subtract_per_worker() {
+        let mut engine = ServeEngine::new(SchedulerRegistry::standard(), 3);
+        let before = engine.stats();
+        assert_eq!(before, ServeStats::idle(3));
+        engine.run(mixed_stream());
+        let delta = engine.stats().since(&before);
+        assert_eq!(delta.worker_requests.iter().sum::<u64>(), delta.requests);
+        let names: Vec<String> = delta.named_counters().into_iter().map(|(n, _)| n).collect();
+        assert_eq!(names[0], "engine_requests_total");
+        assert_eq!(names[6], "reroutes_total");
+        assert_eq!(
+            &names[7..],
+            [
+                "worker_0_requests_total",
+                "worker_1_requests_total",
+                "worker_2_requests_total"
+            ]
+        );
     }
 
     fn mixed_stream() -> Vec<ServeRequest> {
@@ -734,8 +885,8 @@ mod tests {
         // results channel and not a drain-wide panic
         let mut engine = ServeEngine::new(panicky_registry(5), 4);
         let bad = Arc::new(TaskTree::fork(4, 1.0, 1.0, 0.0)); // 5 tasks: boom
-                                                              // pick a good tree routed to a different worker than the doomed one,
-                                                              // so its batch cannot be queued behind the panic
+                                                              // pick a good tree routed to a different worker than the doomed
+                                                              // one, so its batch cannot be queued behind the panic
         let good = [
             TaskTree::fork(7, 1.0, 1.0, 0.0),
             TaskTree::fork(8, 1.0, 1.0, 0.0),
@@ -743,7 +894,7 @@ mod tests {
         ]
         .into_iter()
         .map(Arc::new)
-        .find(|t| tree_fingerprint(t) % 4 != tree_fingerprint(&bad) % 4)
+        .find(|t| route(tree_fingerprint(t), 4) != route(tree_fingerprint(&bad), 4))
         .expect("some tree routes elsewhere");
         engine.submit(ServeRequest::new(bad, "Panicky", Platform::new(2)).with_id("doomed"));
         engine.submit(ServeRequest::new(

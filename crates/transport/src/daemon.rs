@@ -129,34 +129,30 @@ struct Meters {
     overloaded: Arc<Counter>,
     malformed: Arc<Counter>,
     inflight: Arc<Gauge>,
-    engine_mirrors: Vec<Arc<Counter>>,
     latency: Arc<Histogram>,
     parse_span: Arc<Span>,
     drain_span: Arc<Span>,
 }
 
-/// Snapshot names of the engine counters, mirrored in [`ServeStats`]
-/// field order (see [`Meters::mirror_engine`]).
-const ENGINE_MIRRORS: [&str; 7] = [
-    "engine_requests_total",
-    "engine_batches_total",
-    "traversal_computes_total",
-    "traversal_reuses_total",
-    "subtree_views_total",
-    "worker_lost_total",
-    "reroutes_total",
-];
-
 impl Meters {
-    fn new() -> Meters {
+    /// Registers every metric, the engine mirrors of a `workers`-worker
+    /// engine included, so snapshots list them in a fixed order.
+    fn new(workers: usize) -> Meters {
         let registry = Arc::new(MetricsRegistry::new());
+        let requests = registry.counter("requests_total");
+        let responses = registry.counter("responses_total");
+        let overloaded = registry.counter("overloaded_total");
+        let malformed = registry.counter("malformed_total");
+        let inflight = registry.gauge("inflight");
+        for (name, _) in ServeStats::idle(workers).named_counters() {
+            registry.counter(&name);
+        }
         Meters {
-            requests: registry.counter("requests_total"),
-            responses: registry.counter("responses_total"),
-            overloaded: registry.counter("overloaded_total"),
-            malformed: registry.counter("malformed_total"),
-            inflight: registry.gauge("inflight"),
-            engine_mirrors: ENGINE_MIRRORS.iter().map(|n| registry.counter(n)).collect(),
+            requests,
+            responses,
+            overloaded,
+            malformed,
+            inflight,
             latency: registry.histogram("response_latency_us"),
             parse_span: registry.span("span_parse"),
             drain_span: registry.span("span_drain"),
@@ -165,18 +161,9 @@ impl Meters {
     }
 
     /// Copies the engine's counters into their snapshot mirrors.
-    fn mirror_engine(&self, stats: ServeStats) {
-        let values = [
-            stats.requests,
-            stats.batches,
-            stats.traversal_computes,
-            stats.traversal_reuses,
-            stats.subtree_views,
-            stats.worker_lost,
-            stats.reroutes,
-        ];
-        for (mirror, value) in self.engine_mirrors.iter().zip(values) {
-            mirror.store(value);
+    fn mirror_engine(&self, stats: &ServeStats) {
+        for (name, value) in stats.named_counters() {
+            self.registry.counter(&name).store(value);
         }
     }
 
@@ -188,7 +175,7 @@ impl Meters {
         if count_self {
             self.responses.inc();
         }
-        self.mirror_engine(stats);
+        self.mirror_engine(&stats);
         self.registry
             .snapshot()
             .append(JsonRecord::new().str("op", "metrics"))
@@ -382,7 +369,7 @@ impl Daemon {
     /// As [`Daemon::new`], over a shared registry.
     pub fn with_registry(registry: Arc<SchedulerRegistry>, config: DaemonConfig) -> Daemon {
         let cap = config.inflight_cap.max(1);
-        let meters = Arc::new(Meters::new());
+        let meters = Arc::new(Meters::new(config.workers));
         let loop_meters = Arc::clone(&meters);
         let (ops, ops_rx) = channel();
         let handle =
