@@ -123,6 +123,27 @@ impl CliError {
     }
 }
 
+/// Writes `contents` to `path` through a temporary file in the same
+/// directory that is then renamed into place, so a concurrent reader — a
+/// live daemon loading a tree — sees the old file or the whole new one,
+/// never a partial write. Leaves no temporary file behind on failure.
+pub(crate) fn write_file(path: &str, contents: impl AsRef<[u8]>) -> Result<(), CliError> {
+    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let target = std::path::Path::new(path);
+    let name = target.file_name().unwrap_or(target.as_os_str());
+    let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let tmp = target.with_file_name(format!(
+        ".{}.{}-{seq}.tmp",
+        name.to_string_lossy(),
+        std::process::id()
+    ));
+    let written = std::fs::write(&tmp, contents).and_then(|()| std::fs::rename(&tmp, target));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written.map_err(|e| CliError::new(format!("cannot write {path}: {e}")))
+}
+
 impl std::fmt::Display for CliError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.message)
@@ -359,8 +380,7 @@ fn cmd_gen(args: &[String]) -> Result<String, CliError> {
     let text = tree_io::to_text(&tree);
     match out_file {
         Some(path) => {
-            std::fs::write(&path, &text)
-                .map_err(|e| CliError::new(format!("cannot write {path}: {e}")))?;
+            write_file(&path, &text)?;
             Ok(format!("wrote {} tasks to {path}\n", tree.len()))
         }
         None => Ok(text),
@@ -859,8 +879,7 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         let stop = treesched_transport::signal::term_flag();
         let flush_metrics = |daemon: &Daemon| -> Result<(), CliError> {
             if let Some(path) = metrics_out {
-                std::fs::write(path, daemon.metrics_json())
-                    .map_err(|e| CliError::new(format!("cannot write {path}: {e}")))?;
+                write_file(path, daemon.metrics_json())?;
             }
             Ok(())
         };
@@ -906,8 +925,7 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     };
     let (output, snapshot) = serve_jsonl_with_metrics(&input, workers, default_platform.as_ref());
     if let Some(path) = metrics_out {
-        std::fs::write(path, snapshot)
-            .map_err(|e| CliError::new(format!("cannot write {path}: {e}")))?;
+        write_file(path, snapshot)?;
     }
     Ok(output)
 }

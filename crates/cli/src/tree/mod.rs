@@ -15,7 +15,7 @@ mod subtree;
 mod to_dot;
 mod to_requests;
 
-use crate::commands::CliError;
+use crate::commands::{write_file, CliError};
 use treesched_model::TaskTree;
 use treesched_trees::{Format, IngestOptions, OrderingKind};
 
@@ -195,8 +195,7 @@ pub(crate) fn emit(out_file: Option<&str>, text: String) -> Result<String, CliEr
     match out_file {
         None => Ok(text),
         Some(path) => {
-            std::fs::write(path, &text)
-                .map_err(|e| CliError::new(format!("cannot write {path}: {e}")))?;
+            write_file(path, &text)?;
             Ok(format!("wrote {path}\n"))
         }
     }

@@ -6,7 +6,7 @@
 //! at).
 
 use super::{emit, load_input, parse_common};
-use crate::commands::{parse_num, CliError};
+use crate::commands::{parse_num, write_file, CliError};
 use treesched_core::SeqAlgo;
 use treesched_trees::{to_requests, Format, RequestOptions};
 
@@ -67,8 +67,7 @@ pub(crate) fn execute(args: &[String]) -> Result<String, CliError> {
     let tree_path = match (format, common.value("--tree-out")) {
         (_, Some(out)) => {
             // explicit conversion target: requests point at the v1 copy
-            std::fs::write(out, treesched_model::io::to_text(&tree))
-                .map_err(|e| CliError::new(format!("cannot write {out}: {e}")))?;
+            write_file(out, treesched_model::io::to_text(&tree))?;
             out.to_string()
         }
         (Format::V1, None) => path.clone(),

@@ -288,3 +288,86 @@ fn schedule_ingests_toolbox_formats_directly() {
         "unknown ordering `bogus` (expected natural, amd or rcm)"
     );
 }
+
+/// Every file the CLI writes (`gen -o`, `tree … -o`, `--tree-out`,
+/// `--metrics-out`) goes through a temporary file renamed into place: the
+/// bytes are exactly what stdout would carry, an existing file is replaced
+/// whole, and no temporary file is left behind — on success or failure.
+#[test]
+fn file_outputs_are_renamed_into_place_without_leftovers() {
+    let dir = temp_dir("atomic-writes");
+    let at = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let listing = || {
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    };
+
+    let fork = at("fork.tree");
+    ok(&["gen", "fork", "3", "4", "-o", &fork]);
+    assert_eq!(read(&fork), ok(&["gen", "fork", "3", "4"]));
+    // a second write replaces the file whole
+    ok(&["gen", "chain", "5", "-o", &fork]);
+    assert_eq!(read(&fork), ok(&["gen", "chain", "5"]));
+
+    let nwk = at("band8.nwk");
+    let stdout = ok(&["tree", "convert", &fixture("band8.mtx"), "--to", "newick"]);
+    ok(&[
+        "tree",
+        "convert",
+        &fixture("band8.mtx"),
+        "--to",
+        "newick",
+        "-o",
+        &nwk,
+    ]);
+    assert_eq!(read(&nwk), stdout);
+
+    let star = at("star9.tree");
+    let to_requests = ["tree", "to-requests", &fixture("star9.mtx"), "--procs", "2"];
+    let stdout = ok(&[&to_requests[..], &["--tree-out", &star]].concat());
+    let star_requests = at("star9.jsonl");
+    ok(&[
+        &to_requests[..],
+        &["--tree-out", &star, "-o", &star_requests],
+    ]
+    .concat());
+    assert_eq!(read(&star_requests), stdout);
+    assert_eq!(
+        read(&star),
+        ok(&["tree", "convert", &fixture("star9.mtx"), "--to", "v1"])
+    );
+
+    let requests = at("requests.jsonl");
+    std::fs::write(
+        &requests,
+        format!("{{\"tree\":\"{fork}\",\"scheduler\":\"deepest\",\"processors\":2}}\n"),
+    )
+    .unwrap();
+    let metrics = at("metrics.json");
+    ok(&["serve", &requests, "--metrics-out", &metrics]);
+    assert!(read(&metrics).starts_with("{\"op\":\"metrics\","));
+
+    let missing = at("no-such-dir/out.tree");
+    let err = run(&["gen", "fork", "3", "4", "-o", &missing]).unwrap_err();
+    assert!(err.to_string().starts_with("cannot write"), "{err}");
+
+    assert_eq!(
+        listing(),
+        [
+            "band8.nwk",
+            "fork.tree",
+            "metrics.json",
+            "requests.jsonl",
+            "star9.jsonl",
+            "star9.tree"
+        ]
+    );
+}
+
+fn read(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap()
+}
