@@ -196,7 +196,7 @@ impl ServeStats {
 ///
 /// [`tree_fingerprint`] is odd by construction, so its low bits would
 /// never pick an even worker; routing reads the high 32 bits instead.
-pub fn route(fp: u64, workers: usize) -> usize {
+fn route(fp: u64, workers: usize) -> usize {
     ((fp >> 32) % workers.max(1) as u64) as usize
 }
 
@@ -305,7 +305,7 @@ impl ServeEngine {
     ///
     /// Queued requests are grouped by the structural fingerprint of their
     /// tree — one batch per distinct tree, in first-appearance order — and
-    /// each batch goes to the worker [`route`] picks for the fingerprint,
+    /// each batch goes to the worker picked by the fingerprint's high bits,
     /// keeping same-tree traffic on one warm scratch.
     ///
     /// A dead worker (a user scheduler panicked — the built-in schedulers

@@ -49,7 +49,7 @@
 pub mod engine;
 pub mod jsonl;
 
-pub use engine::{route, ServeEngine, ServeOutcome, ServeRequest, ServeResult, ServeStats};
+pub use engine::{ServeEngine, ServeOutcome, ServeRequest, ServeResult, ServeStats};
 pub use jsonl::{
     error_json, malformed_json, platform_from_value, platform_json, result_json, JsonRecord,
     PlatformSpec, RequestRecord, ScheduleRecord,
