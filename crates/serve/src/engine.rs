@@ -200,6 +200,7 @@ fn route(fp: u64, workers: usize) -> usize {
     ((fp >> 32) % workers.max(1) as u64) as usize
 }
 
+#[derive(Default)]
 struct Counters {
     requests: AtomicU64,
     batches: AtomicU64,
@@ -209,21 +210,6 @@ struct Counters {
     worker_lost: AtomicU64,
     reroutes: AtomicU64,
     worker_requests: Vec<AtomicU64>,
-}
-
-impl Counters {
-    fn new(workers: usize) -> Counters {
-        Counters {
-            requests: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            traversal_computes: AtomicU64::new(0),
-            traversal_reuses: AtomicU64::new(0),
-            subtree_views: AtomicU64::new(0),
-            worker_lost: AtomicU64::new(0),
-            reroutes: AtomicU64::new(0),
-            worker_requests: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
 }
 
 type Batch = Vec<(u64, ServeRequest)>;
@@ -256,7 +242,10 @@ impl ServeEngine {
     /// own handle to the same registry the workers serve from.
     pub fn with_registry(registry: Arc<SchedulerRegistry>, workers: usize) -> ServeEngine {
         let workers = workers.max(1);
-        let counters = Arc::new(Counters::new(workers));
+        let counters = Arc::new(Counters {
+            worker_requests: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            ..Counters::default()
+        });
         let (results_tx, results_rx) = channel();
         let mut txs = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
