@@ -35,6 +35,7 @@
 pub mod campaign;
 pub mod cli;
 pub mod harness;
+pub mod presets;
 pub mod stats;
 
 pub use campaign::{

@@ -1155,6 +1155,14 @@ Output is byte-identical for any --workers count.
                                        identical (exit 3 on drift), and the
                                        summed time_us may regress by at most
                                        PCT percent (default 25; exit 1)
+  campaign --preset NAME [flags]       one of the paper's reports: table1,
+                                       fig6, fig7, fig8, scaling, ablation,
+                                       corpus, seqgap. JSONL records plus the
+                                       report's summary records on stdout,
+                                       the text report on stderr. Defaults
+                                       to the medium corpus and --procs
+                                       2,4,8,16,32; ablation and seqgap take
+                                       only --scale
   campaign [flags]                     build the spec from flags:
     --name N                  campaign name (default: campaign)
     --scale small|medium|large  include the assembly corpus
@@ -1193,11 +1201,15 @@ The spec file form of the same campaign:
 /// Scenario failures are typed error *records* in the stream (exit 0),
 /// matching the serve protocol; only spec-level problems (unknown
 /// scheduler names, unreadable files, bad flags) fail the command.
+/// `--preset NAME` hands the flag-built spec to one of the paper's
+/// reports in [`treesched_bench::presets`] instead, which writes its text
+/// report to stderr and fails with exit 1 where the old report binaries
+/// did.
 fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
     use treesched_bench::{CampaignRunner, CampaignSpec, PlatformPoint};
 
     let mut spec_file: Option<&String> = None;
-    let mut name: Option<&String> = None;
+    let mut name: Option<&str> = None;
     let mut scale: Option<treesched_gen::Scale> = None;
     let mut trees: Vec<&str> = Vec::new();
     let mut trees_file: Vec<String> = Vec::new();
@@ -1214,10 +1226,13 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
     let mut time_reps: Option<u32> = None;
     let mut compare: Option<(String, String)> = None;
     let mut tolerance: Option<f64> = None;
-    let mut grid_flags = false;
+    let mut preset: Option<&'static treesched_bench::presets::Preset> = None;
+    // every flag given, for the combination checks below
+    let mut given: Vec<&str> = Vec::new();
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        given.push(a.as_str());
         let mut value = |what: &str| -> Result<&String, CliError> {
             it.next()
                 .ok_or_else(|| CliError::new(format!("{a} needs {what}")))
@@ -1225,6 +1240,19 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
         match a.as_str() {
             "--help" | "-h" => return Ok(CAMPAIGN_USAGE.to_string()),
             "--spec" => spec_file = Some(value("a path")?),
+            "--preset" => {
+                let v = value("a preset name")?;
+                preset = Some(treesched_bench::presets::find(v).ok_or_else(|| {
+                    let names: Vec<&str> = treesched_bench::presets::PRESETS
+                        .iter()
+                        .map(|p| p.name)
+                        .collect();
+                    CliError::new(format!(
+                        "unknown preset `{v}` (presets: {})",
+                        names.join(", ")
+                    ))
+                })?);
+            }
             "--workers" => {
                 let w: usize = parse_num(value("N")?, "workers")?;
                 if w == 0 {
@@ -1232,10 +1260,7 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
                 }
                 workers = Some(w);
             }
-            "--name" => {
-                name = Some(value("a name")?);
-                grid_flags = true;
-            }
+            "--name" => name = Some(value("a name")?.as_str()),
             "--scale" => {
                 scale = Some(match value("small|medium|large")?.as_str() {
                     "small" => treesched_gen::Scale::Small,
@@ -1243,11 +1268,9 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
                     "large" => treesched_gen::Scale::Large,
                     other => return Err(CliError::new(format!("unknown scale `{other}`"))),
                 });
-                grid_flags = true;
             }
             "--trees" => {
                 trees.extend(value("tree files")?.split(',').map(str::trim));
-                grid_flags = true;
             }
             "--trees-file" => {
                 trees_file.extend(
@@ -1255,7 +1278,6 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
                         .split(',')
                         .map(|s| s.trim().to_string()),
                 );
-                grid_flags = true;
             }
             "--procs" => {
                 for p in value("processor counts")?.split(',') {
@@ -1265,7 +1287,6 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
                     }
                     procs.push(p);
                 }
-                grid_flags = true;
             }
             "--schedulers" => {
                 let names: Vec<String> = value("registry names")?
@@ -1277,7 +1298,6 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
                     return Err(CliError::new("--schedulers needs at least one name"));
                 }
                 schedulers = Some(names);
-                grid_flags = true;
             }
             "--cap-factor" => {
                 let f: f64 = parse_num(value("a factor")?, "--cap-factor")?;
@@ -1287,19 +1307,15 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
                     ));
                 }
                 cap_factor = Some(f);
-                grid_flags = true;
             }
             "--speeds" => {
                 speeds = Some(value("COUNTxSPEED entries")?);
-                grid_flags = true;
             }
             "--domains" => {
                 domains = Some(value("CAP@CLASSES entries")?);
-                grid_flags = true;
             }
             "--comm" => {
                 comm = Some(value("SRC-DST:COST entries")?);
-                grid_flags = true;
             }
             "--seq" => {
                 let parsed: Option<Vec<SeqAlgo>> = value("algorithm names")?
@@ -1312,12 +1328,8 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
                     return Err(CliError::new("--seq needs at least one algorithm"));
                 }
                 seqs = Some(parsed);
-                grid_flags = true;
             }
-            "--seed" => {
-                seed = Some(parse_num(value("N")?, "seed")?);
-                grid_flags = true;
-            }
+            "--seed" => seed = Some(parse_num(value("N")?, "seed")?),
             "--metrics" => {
                 for m in value("metric names")?.split(',') {
                     let m = m.trim();
@@ -1326,7 +1338,6 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
                             .ok_or_else(|| CliError::new(format!("unknown metric `{m}`")))?,
                     );
                 }
-                grid_flags = true;
             }
             "--time-reps" => {
                 let reps: u32 = parse_num(value("N")?, "--time-reps")?;
@@ -1334,7 +1345,6 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
                     return Err(CliError::new("--time-reps needs at least 1"));
                 }
                 time_reps = Some(reps);
-                grid_flags = true;
             }
             "--compare" => {
                 let old = value("OLD.jsonl and NEW.jsonl")?.clone();
@@ -1358,6 +1368,32 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
         }
     }
 
+    let grid_flags = given.iter().any(|f| {
+        !matches!(
+            *f,
+            "--spec" | "--workers" | "--compare" | "--tolerance" | "--preset"
+        )
+    });
+    if let Some(preset) = preset {
+        let only_scale = |f: &&str| !preset.grid && !matches!(*f, "--preset" | "--scale");
+        if let Some(f) = given
+            .iter()
+            .find(|f| matches!(**f, "--spec" | "--compare" | "--name") || only_scale(f))
+        {
+            return Err(CliError::new(format!(
+                "--preset {} cannot be combined with {f}",
+                preset.name
+            )));
+        }
+        // the reports' defaults: the medium corpus, the paper's processors
+        if scale.is_none() && trees.is_empty() && trees_file.is_empty() {
+            scale = Some(treesched_gen::Scale::Medium);
+        }
+        if procs.is_empty() && speeds.is_none() {
+            procs = treesched_bench::PAPER_PROCS.to_vec();
+        }
+        name = Some(preset.name);
+    }
     if let Some((old_path, new_path)) = compare {
         if spec_file.is_some() || grid_flags || workers.is_some() {
             return Err(CliError::new(
@@ -1414,7 +1450,7 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
                 .map_err(|e| CliError::new(format!("bad spec {path}: {e}")))?
         }
         None => {
-            let mut spec = CampaignSpec::new(name.map(|s| s.as_str()).unwrap_or("campaign"));
+            let mut spec = CampaignSpec::new(name.unwrap_or("campaign"));
             spec.corpus = scale;
             for path in trees {
                 spec.trees.push(treesched_gen::CorpusEntry {
@@ -1481,6 +1517,12 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
     let workers = workers
         .or(spec.workers)
         .unwrap_or_else(treesched_bench::default_workers);
+    if let Some(preset) = preset {
+        // the report goes to stderr, its JSONL to stdout
+        return preset
+            .run(spec, workers, &mut std::io::stderr())
+            .map_err(|message| CliError { message, code: 1 });
+    }
     let campaign = CampaignRunner::new(workers)
         .run(&spec)
         .map_err(CliError::sched)?;

@@ -1,40 +1,45 @@
 //! Golden-file and determinism tests for the campaign JSONL schema.
 //!
-//! Each migrated experiment binary's `--json` stream is pinned
-//! byte-for-byte against `tests/data/<binary>.golden.jsonl` on the small
-//! corpus: any change to field names, field order, number formatting, or
-//! record composition shows up as a diff. Regenerate deliberately with
-//! `UPDATE_GOLDEN=1 cargo test -p treesched_bench --test campaign_golden`
+//! Each paper report's stream (`treesched campaign --preset NAME`) is
+//! pinned byte-for-byte against
+//! `crates/bench/tests/data/<preset>.golden.jsonl` on the small corpus:
+//! any change to field names, field order, number formatting, or record
+//! composition shows up as a diff. Regenerate deliberately with
+//! `UPDATE_GOLDEN=1 cargo test -p treesched_cli --test campaign_golden`
 //! after an intentional schema change (same workflow as the serve
 //! protocol goldens).
 //!
 //! The worker-count determinism pin lives at the runner level — the
-//! binaries pick their worker count automatically precisely because the
+//! presets pick their worker count automatically precisely because the
 //! JSONL is byte-identical at 1, 2, and 4 workers.
 
-use std::process::Command;
+use std::process::{Command, Output};
 use treesched_bench::{CampaignRunner, CampaignSpec, PlatformPoint};
 use treesched_core::{Metric, PlatformSpec, SeqAlgo};
 use treesched_model::TaskTree;
 
-/// Runs one experiment binary and returns its stdout; the run must exit 0.
-fn run_bin(exe: &str, args: &[&str]) -> String {
-    let out = Command::new(exe)
+fn campaign(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_treesched"))
+        .arg("campaign")
         .args(args)
         .output()
-        .unwrap_or_else(|e| panic!("cannot run {exe}: {e}"));
-    assert!(
-        out.status.success(),
-        "{exe} {args:?} failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8(out.stdout).expect("binaries emit UTF-8")
+        .expect("spawn treesched binary")
+}
+
+/// Runs `campaign --preset NAME` with `args`, requires exit 0 and the
+/// report's `title` on stderr, and returns stdout.
+fn preset(name: &str, args: &[&str], title: &str) -> String {
+    let out = campaign(&[&["--preset", name], args].concat());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{name} {args:?} failed:\n{stderr}");
+    assert!(stderr.contains(title), "{name}: no `{title}` in\n{stderr}");
+    String::from_utf8(out.stdout).expect("campaign emits UTF-8")
 }
 
 fn check_golden(got: &str, golden_file: &str) {
-    let path = format!("{}/tests/data/{golden_file}", env!("CARGO_MANIFEST_DIR"));
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../bench/tests/data");
+    let path = format!("{dir}/{golden_file}");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(format!("{}/tests/data", env!("CARGO_MANIFEST_DIR"))).unwrap();
         std::fs::write(path, got).unwrap();
         return;
     }
@@ -60,46 +65,33 @@ const GRID: &[&str] = &[
     "2",
     "--schedulers",
     "subtrees,deepest",
-    "--json",
 ];
 
 #[test]
 fn table1_json_matches_the_golden_schema() {
-    check_golden(
-        &run_bin(env!("CARGO_BIN_EXE_table1"), GRID),
-        "table1.golden.jsonl",
-    );
+    check_golden(&preset("table1", GRID, "Table 1 —"), "table1.golden.jsonl");
 }
 
 #[test]
 fn fig6_json_matches_the_golden_schema() {
-    check_golden(
-        &run_bin(env!("CARGO_BIN_EXE_fig6"), GRID),
-        "fig6.golden.jsonl",
-    );
+    check_golden(&preset("fig6", GRID, "Figure 6 —"), "fig6.golden.jsonl");
 }
 
 #[test]
 fn fig7_json_matches_the_golden_schema() {
-    check_golden(
-        &run_bin(env!("CARGO_BIN_EXE_fig7"), GRID),
-        "fig7.golden.jsonl",
-    );
+    check_golden(&preset("fig7", GRID, "Figure 7 —"), "fig7.golden.jsonl");
 }
 
 #[test]
 fn fig8_json_matches_the_golden_schema() {
     // fig8 force-adds its ParInnerFirst baseline to the selection
-    check_golden(
-        &run_bin(env!("CARGO_BIN_EXE_fig8"), GRID),
-        "fig8.golden.jsonl",
-    );
+    check_golden(&preset("fig8", GRID, "Figure 8 —"), "fig8.golden.jsonl");
 }
 
 #[test]
 fn scaling_json_matches_the_golden_schema() {
     check_golden(
-        &run_bin(env!("CARGO_BIN_EXE_scaling"), GRID),
+        &preset("scaling", GRID, "Strong scaling over"),
         "scaling.golden.jsonl",
     );
 }
@@ -107,10 +99,7 @@ fn scaling_json_matches_the_golden_schema() {
 #[test]
 fn ablation_json_matches_the_golden_schema() {
     check_golden(
-        &run_bin(
-            env!("CARGO_BIN_EXE_ablation"),
-            &["--scale", "small", "--json"],
-        ),
+        &preset("ablation", &["--scale", "small"], "Ablation 1 —"),
         "ablation.golden.jsonl",
     );
 }
@@ -118,7 +107,7 @@ fn ablation_json_matches_the_golden_schema() {
 #[test]
 fn corpus_json_matches_the_golden_schema() {
     check_golden(
-        &run_bin(env!("CARGO_BIN_EXE_corpus"), GRID),
+        &preset("corpus", GRID, "(paper §6.2: 608 trees"),
         "corpus.golden.jsonl",
     );
 }
@@ -126,50 +115,51 @@ fn corpus_json_matches_the_golden_schema() {
 #[test]
 fn seqgap_json_matches_the_golden_schema() {
     check_golden(
-        &run_bin(
-            env!("CARGO_BIN_EXE_seqgap"),
-            &["--scale", "small", "--json"],
-        ),
+        &preset("seqgap", &["--scale", "small"], "Sequential traversal gap"),
         "seqgap.golden.jsonl",
     );
 }
 
+/// Usage errors exit 2 with the message on stderr and nothing on stdout.
+fn usage_error(args: &[&str]) -> String {
+    let out = campaign(args);
+    assert_eq!(out.status.code(), Some(2), "{args:?}");
+    assert!(out.stdout.is_empty(), "{args:?}");
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
 #[test]
-fn serve_bench_json_has_the_shared_record_shape() {
-    // timings make this record un-goldenable; pin its structure instead
-    let out = run_bin(
-        env!("CARGO_BIN_EXE_serve_bench"),
-        &[
-            "--scale",
-            "small",
-            "--procs",
-            "2",
-            "--schedulers",
-            "deepest",
+fn unknown_presets_list_the_valid_names() {
+    let e = usage_error(&["--preset", "table2"]);
+    assert!(e.contains("unknown preset `table2`"), "{e}");
+    assert!(
+        e.contains("table1, fig6, fig7, fig8, scaling, ablation, corpus, seqgap"),
+        "{e}"
+    );
+}
+
+#[test]
+fn presets_refuse_spec_compare_name_and_scale_only_grid_flags() {
+    for (args, flag) in [
+        (&["--preset", "table1", "--spec", "x.json"][..], "--spec"),
+        (
+            &["--preset", "fig6", "--compare", "a", "b"][..],
+            "--compare",
+        ),
+        (&["--preset", "table1", "--name", "x"][..], "--name"),
+        (&["--preset", "ablation", "--procs", "2"][..], "--procs"),
+        (&["--preset", "seqgap", "--procs", "2"][..], "--procs"),
+        (
+            &["--scale", "small", "--preset", "seqgap", "--workers", "2"][..],
             "--workers",
-            "1,2",
-            "--json",
-        ],
-    );
-    let pairs = treesched_serve::jsonl::parse_object(out.trim_end()).expect("one JSON record");
-    let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
-    assert_eq!(
-        keys,
-        [
-            "benchmark",
-            "requests",
-            "trees",
-            "processors",
-            "schedulers",
-            "baseline",
-            "sweep"
-        ]
-    );
-    let sweep = pairs.iter().find(|(k, _)| k == "sweep").unwrap();
-    let treesched_serve::jsonl::Value::Arr(sweep) = &sweep.1 else {
-        panic!("sweep must be an array");
-    };
-    assert_eq!(sweep.len(), 2);
+        ),
+    ] {
+        let e = usage_error(args);
+        assert!(
+            e.contains(&format!("cannot be combined with {flag}")),
+            "{args:?}: {e}"
+        );
+    }
 }
 
 /// The grid of the worker-count pin: the table/figure grid plus a
