@@ -19,10 +19,10 @@
 //! [`treesched_serve::JsonRecord`] builder, field-compatible with
 //! `schedule --json` and the serving responses) or a typed
 //! [`SchedError`] — errors are data in the stream, never panics. The
-//! experiment binaries (`table1`, `fig6`–`fig8`, `scaling`, `ablation`,
-//! `corpus`) are thin front-ends that build a spec, run it, and aggregate
-//! the records; `treesched campaign` exposes the same engine-backed runner
-//! on the command line, from flags or a JSON spec file.
+//! paper's reports ([`crate::presets`]) build a spec, run it, and
+//! aggregate the records; `treesched campaign` exposes the same
+//! engine-backed runner on the command line, from flags, a JSON spec file
+//! or a `--preset`.
 
 use crate::harness::Row;
 use std::sync::Arc;
@@ -115,8 +115,8 @@ impl PlatformPoint {
 
 /// A declarative experiment campaign: the full cross-product of scenarios
 /// to run, plus an extra metric selection. See the [module docs](self) for
-/// the execution model and [`presets`] for the specs behind the paper's
-/// tables and figures.
+/// the execution model and [`crate::presets`] for the specs behind the
+/// paper's tables and figures.
 #[derive(Clone, Debug)]
 pub struct CampaignSpec {
     /// Campaign name, echoed as the `campaign` field of every record.
@@ -226,7 +226,7 @@ impl CampaignSpec {
     }
 
     /// Ensures `name` (canonically) is part of the scheduler selection —
-    /// the figure binaries use this to force their normalization baseline
+    /// the figure presets use this to force their normalization baseline
     /// in. Returns whether the selection had to be extended. An explicit
     /// selection with an unknown name is left alone (the runner will
     /// surface the typed error).
@@ -1022,112 +1022,6 @@ pub fn compare_campaigns(
         });
     }
     Ok(CampaignComparison::Ok { old_us, new_us })
-}
-
-// ---------------------------------------------------------------------------
-// Presets
-// ---------------------------------------------------------------------------
-
-/// The campaign specs behind the experiment binaries.
-pub mod presets {
-    use super::*;
-    use crate::cli::Options;
-
-    /// The shared grid of the table/figure binaries, from the binary
-    /// flags: corpus at `--scale`, flat points for `--procs` (each with
-    /// `--cap-factor` when given), one extra heterogeneous point for
-    /// `--speeds`/`--domains`, the `--schedulers` selection, `--seq` and
-    /// `--seed`.
-    pub fn grid(name: &str, opts: &Options) -> Result<CampaignSpec, String> {
-        let mut spec = CampaignSpec::new(name).with_corpus(opts.scale);
-        for &p in &opts.procs {
-            let mut point = PlatformPoint::flat(p);
-            if let Some(factor) = opts.cap_factor {
-                point = point.with_cap_factor(factor);
-            }
-            spec.platforms.push(point);
-        }
-        if let Some(speeds) = &opts.speeds {
-            let parsed =
-                PlatformSpec::parse_flags(speeds, opts.domains.as_deref(), opts.comm.as_deref())
-                    .map_err(|e| e.to_string())?;
-            let mut point = PlatformPoint::from_spec(parsed);
-            if let Some(factor) = opts.cap_factor {
-                point = point.with_cap_factor(factor);
-            }
-            spec.platforms.push(point);
-        } else if opts.domains.is_some() {
-            return Err("--domains needs --speeds".into());
-        } else if opts.comm.is_some() {
-            return Err("--comm needs --speeds and --domains".into());
-        }
-        spec.schedulers = opts.schedulers.clone();
-        spec.seqs = opts.seqs.clone();
-        spec.seed = opts.seed;
-        Ok(spec)
-    }
-
-    /// As [`grid`], exiting with a usage error (code 2) on bad flags — the
-    /// shared `main` preamble of the table/figure binaries.
-    pub fn grid_or_exit(name: &str, opts: &Options) -> CampaignSpec {
-        match grid(name, opts) {
-            Ok(spec) => spec,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Runs `spec` on a fresh runner (`spec.workers` or the machine
-    /// default). Unknown scheduler names exit 1; error *records* are
-    /// summarized on stderr (first few spelled out) and only an all-error
-    /// campaign exits 1 — partial heterogeneous refusals are data.
-    pub fn run_or_exit(spec: &CampaignSpec) -> Campaign {
-        let workers = spec.workers.unwrap_or_else(default_workers);
-        let campaign = match CampaignRunner::new(workers).run(spec) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        };
-        let errors = campaign.errors().count();
-        if errors > 0 {
-            eprintln!(
-                "note: {errors} of {} scenarios returned typed errors:",
-                campaign.records.len()
-            );
-            for (r, e) in campaign.errors().take(3) {
-                eprintln!("  {} @ {} on {}: {e}", r.scheduler, r.point, r.tree);
-            }
-            if errors == campaign.records.len() {
-                eprintln!("error: every scenario failed");
-                std::process::exit(1);
-            }
-        }
-        campaign
-    }
-
-    /// Dumps the raw scenario rows as CSV when `--csv` was given. An
-    /// unwritable path is reported with its I/O cause and exits 1 — after
-    /// the table/figure output, so the computed results are not lost.
-    pub fn maybe_csv(opts: &Options, rows: &[Row]) {
-        if let Err(e) = try_csv(opts, rows) {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    /// As [`maybe_csv`], surfacing the I/O failure instead of exiting.
-    pub fn try_csv(opts: &Options, rows: &[Row]) -> Result<(), String> {
-        if let Some(path) = &opts.csv {
-            std::fs::write(path, crate::harness::to_csv(rows))
-                .map_err(|e| format!("cannot write CSV to {path}: {e}"))?;
-            eprintln!("raw rows written to {path}");
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

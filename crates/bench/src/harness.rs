@@ -1,8 +1,8 @@
 //! Aggregations of the paper's Table 1 and Figures 6–8 over campaign
 //! rows, plus their text renderings.
 //!
-//! Scenario *execution* lives in [`crate::campaign`]: the experiment
-//! binaries build a [`crate::CampaignSpec`] and run it through the
+//! Scenario *execution* lives in [`crate::campaign`]: the presets
+//! build a [`crate::CampaignSpec`] and run it through the
 //! engine-backed [`crate::CampaignRunner`]; this module turns the
 //! resulting [`Row`]s into the paper's tables and scatter crosses. The
 //! campaign set is whatever the registry marks as campaign members (the
@@ -280,7 +280,7 @@ pub fn render_crosses(title: &str, xlabel: &str, ylabel: &str, series: &[FigSeri
 }
 
 /// One summary record per Table 1 line, through the shared builder —
-/// appended after the scenario records in `table1 --json`.
+/// appended after the scenario records in the `table1` preset's stream.
 pub fn table1_json(campaign: &str, row: &Table1Row) -> String {
     treesched_serve::JsonRecord::new()
         .str("campaign", campaign)
@@ -296,7 +296,7 @@ pub fn table1_json(campaign: &str, row: &Table1Row) -> String {
 
 /// One summary record per figure series (the scatter cross), through the
 /// shared builder — appended after the scenario records in the figure
-/// binaries' `--json` streams.
+/// presets' streams.
 pub fn cross_json(campaign: &str, series: &FigSeries) -> String {
     let (name, pts, c) = series;
     treesched_serve::JsonRecord::new()
@@ -310,28 +310,6 @@ pub fn cross_json(campaign: &str, series: &FigSeries) -> String {
         .num("y_p10", c.y_p10)
         .num("y_p90", c.y_p90)
         .line()
-}
-
-/// CSV dump of the raw scenario rows (for external plotting).
-pub fn to_csv(rows: &[Row]) -> String {
-    let mut s = String::from("tree,nodes,p,point,seq,scheduler,makespan,memory,ms_lb,mem_ref\n");
-    for r in rows {
-        let _ = writeln!(
-            s,
-            "{},{},{},{},{},{},{},{},{},{}",
-            r.tree,
-            r.nodes,
-            r.p,
-            r.point,
-            r.seq,
-            r.scheduler,
-            r.makespan,
-            r.memory,
-            r.ms_lb,
-            r.mem_ref
-        );
-    }
-    s
 }
 
 #[cfg(test)]
@@ -422,14 +400,6 @@ mod tests {
         assert!(f7.iter().all(|(name, _, _)| name != "ParSubtrees"));
         let rendered = render_crosses("fig7", "ms", "mem", &f7);
         assert!(rendered.contains("ParInnerFirst"));
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let rows = tiny_rows();
-        let csv = to_csv(&rows);
-        assert!(csv.starts_with("tree,nodes,p,point,seq,"));
-        assert_eq!(csv.lines().count(), rows.len() + 1);
     }
 
     /// The scenario key is `(tree, point, seq)`, not `(tree, p)`: a

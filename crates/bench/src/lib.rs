@@ -8,32 +8,34 @@
 //! [`harness`] aggregates the resulting rows into the paper's Table 1 and
 //! the Figure 6–8 scatter crosses.
 //!
-//! Binaries (one per table/figure — see DESIGN.md §4), all thin
-//! spec-building front-ends with `--json` JSONL output:
+//! [`presets`] holds the paper's reports, each run as
+//! `treesched campaign --preset NAME` (JSONL on stdout, the text report
+//! on stderr):
 //!
 //! * `table1` — the heuristic comparison of Table 1;
 //! * `fig6` — ratios to the lower bounds (Figure 6);
 //! * `fig7` — ratios to `ParSubtrees` (Figure 7);
 //! * `fig8` — ratios to `ParInnerFirst` (Figure 8);
 //! * `scaling` — strong-scaling sweep with speedup/utilization metrics;
-//! * `ablation` — design-choice ablations beyond the paper: sequential
-//!   sub-algorithm choice, the Figure 3 makespan-ratio sweep, and the
-//!   memory-capped scheduler's cap/makespan trade-off;
+//! * `ablation` — design-choice ablations beyond the paper: the Figure 3
+//!   makespan-ratio sweep, sequential sub-algorithm choice, the
+//!   memory-capped scheduler's cap/makespan trade-off, and priority
+//!   components;
 //! * `corpus` — the dataset description of §6.2;
-//! * `seqgap` — the sequential postorder/optimal gap of §6.1;
-//! * `serve_bench` — serving-engine throughput against the per-request
-//!   path.
+//! * `seqgap` — the sequential postorder/optimal gap of §6.1.
 //!
-//! Criterion micro-benchmarks live in `benches/` and validate the
-//! complexity claims of §5 (heuristic and traversal runtimes).
+//! Throughput and latency of the serving stack are measured by the
+//! separate `perfbench` workspace (see `BENCHMARK.json`). Criterion
+//! micro-benchmarks live in `benches/` and validate the complexity claims
+//! of §5 (heuristic and traversal runtimes).
 //!
-//! All binaries resolve schedulers by name through
+//! Schedulers resolve by name through
 //! [`treesched_core::SchedulerRegistry`] (`--schedulers` selects them);
-//! the default sweep is the registry's campaign set, so a newly registered
-//! campaign scheduler joins every table and figure automatically.
+//! the default sweep is the registry's campaign set, so a newly
+//! registered campaign scheduler joins every table and figure
+//! automatically.
 
 pub mod campaign;
-pub mod cli;
 pub mod harness;
 pub mod presets;
 pub mod stats;
