@@ -768,8 +768,8 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     let mut comm: Option<&String> = None;
     let mut listen: Option<&String> = None;
     let mut stdio = false;
-    let mut accept: u64 = 0;
-    let mut inflight: usize = 64;
+    let mut accept: Option<u64> = None;
+    let mut inflight: Option<usize> = None;
     let mut overload = false;
     let mut metrics_out: Option<&String> = None;
     let mut it = args.iter();
@@ -799,20 +799,21 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
             }
             "--stdio" => stdio = true,
             "--accept" => {
-                accept = parse_num(
+                accept = Some(parse_num(
                     it.next().ok_or_else(|| CliError::new("--accept needs N"))?,
                     "N",
-                )?;
+                )?);
             }
             "--inflight" => {
-                inflight = parse_num(
+                let n = parse_num(
                     it.next()
                         .ok_or_else(|| CliError::new("--inflight needs N"))?,
                     "N",
                 )?;
-                if inflight == 0 {
+                if n == 0 {
                     return Err(CliError::new("--inflight needs at least 1"));
                 }
+                inflight = Some(n);
             }
             "--overload" => overload = true,
             "--speeds" => {
@@ -866,7 +867,7 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
             SchedulerRegistry::standard(),
             DaemonConfig {
                 workers,
-                inflight_cap: inflight,
+                inflight_cap: inflight.unwrap_or(64),
                 default_platform,
             },
         );
@@ -885,7 +886,7 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         };
         if let Some(socket) = listen {
             let options = ListenOptions {
-                accept: (accept > 0).then_some(accept),
+                accept: accept.filter(|&n| n > 0),
                 block,
             };
             let served = treesched_transport::listen_unix_stoppable(
@@ -908,7 +909,7 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         flush_metrics(&daemon)?;
         return Ok(String::new());
     }
-    if accept != 0 || overload || inflight != 64 {
+    if accept.is_some() || overload || inflight.is_some() {
         return Err(CliError::new(
             "--accept/--inflight/--overload need a daemon mode (--listen or --stdio)",
         ));
@@ -2210,6 +2211,23 @@ mod tests {
         assert!(run(&["serve", "x.jsonl", "--workers", "0"]).is_err());
         assert!(run(&["serve", "x.jsonl", "--bogus"]).is_err());
         assert!(run(&["serve", "/nonexistent/x.jsonl"]).is_err());
+    }
+
+    #[test]
+    fn batch_serve_rejects_daemon_flags_even_at_their_defaults() {
+        let input = tmpfile("daemonflags.jsonl");
+        std::fs::write(&input, "").unwrap();
+        for flags in [
+            &["--accept", "0"][..],
+            &["--accept", "3"],
+            &["--inflight", "64"],
+            &["--inflight", "63"],
+            &["--overload"],
+        ] {
+            let e = run(&[&["serve", input.as_str()], flags].concat()).unwrap_err();
+            assert!(e.message.contains("need a daemon mode"), "{flags:?}");
+        }
+        assert_eq!(run(&["serve", &input]).unwrap(), "");
     }
 
     #[test]
