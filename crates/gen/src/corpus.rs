@@ -1,6 +1,8 @@
 //! The experiment corpus: assembly trees built through the full sparse
 //! pipeline, substituting for the paper's 608 UF-collection trees
-//! (76 matrices × 2 orderings × 4 amalgamation levels — see DESIGN.md §3).
+//! (76 matrices × 2 orderings × 4 amalgamation levels, paper §6.2) with
+//! generated patterns put through the same ordering, elimination-tree
+//! and amalgamation steps.
 
 use treesched_model::{TaskTree, TreeStats};
 use treesched_sparse::{assembly, generate, ordering, SparsePattern};

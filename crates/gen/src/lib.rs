@@ -7,8 +7,8 @@
 //!   shapes (caterpillars, spiders) with configurable weight ranges.
 //! * [`corpus`] — the experiment corpus: assembly trees built through the
 //!   full sparse pipeline of [`treesched_sparse`], replacing the paper's UF
-//!   Sparse Matrix Collection input (see DESIGN.md §3 for the
-//!   substitution argument).
+//!   Sparse Matrix Collection input (§6.2): generated patterns go through
+//!   the same ordering, elimination-tree and amalgamation steps.
 //!
 //! ```
 //! use treesched_gen::{assembly_corpus, Scale, fork_tree};

@@ -1,5 +1,6 @@
 //! Pattern generators: the offline substitute for the University of Florida
-//! Sparse Matrix Collection corpus (see DESIGN.md §3).
+//! Sparse Matrix Collection corpus of the paper's §6.2, which cannot be
+//! fetched in an offline build.
 //!
 //! Three families cover the tree-shape spectrum the paper's corpus spans:
 //! grid Laplacians (mesh-like matrices → balanced, deep elimination trees
