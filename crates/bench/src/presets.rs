@@ -27,8 +27,10 @@ pub struct Preset {
     /// Whether the preset takes the campaign grid flags; `false` means it
     /// builds its own grid and reads only the spec's corpus scale.
     pub grid: bool,
-    report: fn(CampaignSpec, usize, &mut dyn Write) -> Result<Report, String>,
+    report: ReportFn,
 }
+
+type ReportFn = fn(CampaignSpec, usize, &mut dyn Write) -> Result<Report, String>;
 
 /// What a preset produces: the JSONL stream and the text report.
 struct Report {
@@ -54,11 +56,7 @@ pub fn find(name: &str) -> Option<&'static Preset> {
 }
 
 impl Preset {
-    const fn new(
-        name: &'static str,
-        grid: bool,
-        report: fn(CampaignSpec, usize, &mut dyn Write) -> Result<Report, String>,
-    ) -> Preset {
+    const fn new(name: &'static str, grid: bool, report: ReportFn) -> Preset {
         Preset { name, grid, report }
     }
 
@@ -594,13 +592,11 @@ fn ablation(spec: CampaignSpec, workers: usize, _log: &mut dyn Write) -> Result<
     t += "  (tighter caps trade makespan for memory; 0 violations at cap >= M_seq)\n\n\
           Ablation 4 — what the paper-specific priorities buy over textbook list scheduling\n  \
           (geometric-mean memory relative to the sequential reference, p = 8)\n";
+    let registry = SchedulerRegistry::standard();
     for (c, family) in priorities.iter().zip(["assembly corpus", "wide/irregular"]) {
         let _ = writeln!(t, "  {family}:");
         for name in SCHEMES {
-            let name = SchedulerRegistry::standard()
-                .resolve(name)
-                .expect("built-in scheme")
-                .name();
+            let name = registry.resolve(name).expect("built-in scheme").name();
             let ratios: Vec<f64> = c
                 .records
                 .iter()
