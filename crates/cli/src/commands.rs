@@ -2445,6 +2445,20 @@ mod tests {
         assert!(run(&["campaign", "--trees", &f, "--domains", "5"]).is_err());
         assert!(run(&["campaign", "--workers", "0"]).is_err());
         assert!(run(&["campaign", "--bogus"]).is_err());
+        for (flag, value) in [
+            ("--scale", "giant"),
+            ("--procs", "a,b"),
+            ("--schedulers", " , "),
+            ("--cap-factor", "0"),
+            ("--cap-factor", "inf"),
+            ("--cap-factor", "x"),
+            ("--seq", "fast"),
+            ("--seed", "x"),
+            ("--workers", "x"),
+        ] {
+            let e = run(&["campaign", "--trees", &f, "--procs", "2", flag, value]).unwrap_err();
+            assert_eq!(e.code, 2, "{flag} {value}");
+        }
         // unknown scheduler names fail the run (exit 2, like schedule)
         let e = run(&[
             "campaign",
@@ -2467,6 +2481,49 @@ mod tests {
         assert!(run(&["campaign", "--spec", "/nonexistent/spec.json"]).is_err());
         // --help prints usage
         assert!(run(&["campaign", "--help"]).unwrap().contains("campaign"));
+    }
+
+    #[test]
+    fn campaign_grid_flags_reach_the_records() {
+        let f = tmpfile("campgrid.tree");
+        run(&["gen", "fork", "2", "3", "-o", &f]).unwrap();
+        let out = run(&[
+            "campaign",
+            "--trees",
+            &f,
+            "--procs",
+            "2",
+            "--cap-factor",
+            "1.5",
+            "--schedulers",
+            " deepest, cp",
+            "--seq",
+            "naive,liu",
+            "--seed",
+            "7",
+        ])
+        .unwrap();
+        assert_eq!(out.lines().count(), 2 * 2, "{out}");
+        for field in [
+            "\"point\":\"p2/cap1.5\"",
+            "\"seq\":\"naive\"",
+            "\"seq\":\"liu\"",
+            "\"seed\":7",
+            "\"scheduler\":\"ParDeepestFirst\"",
+        ] {
+            assert!(out.contains(field), "{field}: {out}");
+        }
+        // without --schedulers the registry's campaign set runs
+        let out = run(&["campaign", "--trees", &f, "--procs", "2"]).unwrap();
+        assert_eq!(out.lines().count(), 4, "{out}");
+        for name in [
+            "ParSubtrees",
+            "ParSubtreesOptim",
+            "ParInnerFirst",
+            "ParDeepestFirst",
+        ] {
+            assert!(out.contains(&format!("\"scheduler\":\"{name}\"")), "{out}");
+        }
     }
 
     #[test]

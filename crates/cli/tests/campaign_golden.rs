@@ -129,6 +129,18 @@ fn usage_error(args: &[&str]) -> String {
 }
 
 #[test]
+fn presets_default_to_the_medium_corpus_and_the_paper_procs() {
+    let out = preset("corpus", &[], "(paper §6.2: 608 trees");
+    let summary = out.lines().last().expect("a summary record");
+    let trees = treesched_gen::assembly_corpus(treesched_gen::Scale::Medium).len();
+    assert!(
+        summary.contains(&format!("\"trees\":{trees},")),
+        "{summary}"
+    );
+    assert!(summary.contains("\"points\":5,"), "{summary}");
+}
+
+#[test]
 fn unknown_presets_list_the_valid_names() {
     let e = usage_error(&["--preset", "table2"]);
     assert!(e.contains("unknown preset `table2`"), "{e}");
