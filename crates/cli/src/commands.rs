@@ -1203,9 +1203,9 @@ The spec file form of the same campaign:
 /// matching the serve protocol; only spec-level problems (unknown
 /// scheduler names, unreadable files, bad flags) fail the command.
 /// `--preset NAME` hands the flag-built spec to one of the paper's
-/// reports in [`treesched_bench::presets`] instead, which writes its text
-/// report to stderr and fails with exit 1 where the old report binaries
-/// did.
+/// reports in [`treesched_bench::presets`] instead: its text report goes
+/// to stderr, and a failed report (unknown scheduler, every scenario
+/// failed) exits 1.
 fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
     use treesched_bench::{CampaignRunner, CampaignSpec, PlatformPoint};
 
