@@ -313,7 +313,7 @@ impl Schedule {
         for (t, _, d) in evs {
             cur += d;
             match out.last_mut() {
-                Some(last) if last.0 == t => last.1 = last.1.max(cur),
+                Some(last) if last.0 == t => last.1 = cur,
                 _ => out.push((t, cur)),
             }
         }
@@ -546,6 +546,22 @@ mod tests {
         // t=0: two leaf outputs allocated -> 2; t=1: leaves keep files, root
         // adds its own -> 3; t=2: root frees inputs -> 1
         assert_eq!(prof, vec![(0.0, 2.0), (1.0, 3.0), (2.0, 1.0)]);
+    }
+
+    #[test]
+    fn profile_reports_the_level_after_simultaneous_frees() {
+        // both leaves free their programs at 1; the root starts at 2, so
+        // memory over [1, 2) is the two leaf outputs alone
+        let t = TaskTree::fork(2, 1.0, 1.0, 1.0);
+        let s = Schedule {
+            processors: 2,
+            placements: vec![place(0, 2.0, 1.0), place(0, 0.0, 1.0), place(1, 0.0, 1.0)],
+        };
+        assert_eq!(
+            s.memory_profile(&t),
+            vec![(0.0, 4.0), (1.0, 2.0), (2.0, 4.0), (3.0, 1.0)]
+        );
+        assert_eq!(s.peak_memory(&t), 4.0);
     }
 
     #[test]
