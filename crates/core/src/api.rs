@@ -40,7 +40,7 @@
 use crate::heuristics::{par_subtrees, par_subtrees_optim, SeqAlgo, SubtreeScratch};
 use crate::listsched::{key_from_f64, list_schedule, CommCosts, Key3, ListScratch, Speeds};
 use crate::membound::{mem_bounded_schedule, mem_bounded_schedule_domains, Admission, DomainCtx};
-use crate::schedule::{try_evaluate_on, EvalResult, Schedule, ScheduleError};
+use crate::schedule::{EvalResult, EvalScratch, Schedule, ScheduleError};
 use std::sync::Arc;
 use treesched_model::{NodeId, TaskTree};
 
@@ -1297,7 +1297,11 @@ impl Outcome {
 ///   count on the same tree reuses it;
 /// * node **depths** and **weighted depths** are cached per tree;
 /// * the encoded **priority keys** and the list scheduler's queues/tables
-///   (see [`ListScratch`]) are cleared, not re-allocated.
+///   (see [`ListScratch`]) are cleared, not re-allocated;
+/// * the **evaluator**'s sort keys and per-processor/per-domain tables,
+///   through which every built-in scheduler validates its schedule and
+///   sweeps its memory, are reused across calls, so a warm scratch
+///   evaluates without allocating.
 ///
 /// Trees are identified by a structural hash (parents + weights), so the
 /// caches invalidate automatically when a different tree arrives.
@@ -1317,6 +1321,7 @@ pub struct Scratch {
     domain_caps: Vec<f64>,
     list: ListScratch,
     sub: SubtreeScratch,
+    eval: EvalScratch,
     stats: ScratchStats,
 }
 
@@ -1529,7 +1534,7 @@ fn list_on(
 /// Implementations must be deterministic for a given request (randomized
 /// schedulers draw from [`Request::seed`]) and must return schedules that
 /// pass [`Schedule::validate_on`] for the request's platform — the
-/// built-ins funnel their result through [`try_evaluate_on`], surfacing
+/// built-ins run their result through the same checks, surfacing
 /// internal bugs as [`SchedError::InvalidSchedule`] instead of panicking.
 pub trait Scheduler: Send + Sync {
     /// Canonical name (stable across releases; the registry key).
@@ -1550,26 +1555,30 @@ pub trait Scheduler: Send + Sync {
     }
 }
 
-/// Validates + evaluates `schedule` on the request's platform and bundles
-/// the outcome. Per-domain peaks are computed only for non-flat platforms —
-/// on a flat platform the single-domain peak is the global peak already.
+/// Validates + evaluates `schedule` on the request's platform through the
+/// evaluator buffers of `scratch` and bundles the outcome. Per-domain peaks
+/// are computed only for non-flat platforms — on a flat platform the
+/// single-domain peak is the global peak already.
 fn finish(
     name: &str,
     req: &Request<'_>,
     schedule: Schedule,
     diagnostics: Diagnostics,
+    scratch: &mut Scratch,
 ) -> Result<Outcome, SchedError> {
     let (tree, platform) = (req.tree, &req.platform);
-    let eval = try_evaluate_on(tree, &schedule, platform).map_err(|error| {
-        SchedError::InvalidSchedule {
+    let with_domains = !platform.is_flat();
+    let eval = scratch
+        .eval
+        .evaluate(&schedule, tree, platform, true, with_domains)
+        .map_err(|error| SchedError::InvalidSchedule {
             scheduler: name.to_string(),
             error,
-        }
-    })?;
-    let domain_peaks = if platform.is_flat() {
-        Vec::new()
+        })?;
+    let domain_peaks = if with_domains {
+        scratch.eval.domain_peaks().to_vec()
     } else {
-        schedule.domain_peaks(tree, platform)
+        Vec::new()
     };
     Ok(Outcome {
         schedule,
@@ -1661,7 +1670,7 @@ impl Scheduler for ParSubtreesSched {
             seq_peak: Some(scratch.seq_peak),
             cap_violations: None,
         };
-        finish(self.name(), req, schedule, diag)
+        finish(self.name(), req, schedule, diag, scratch)
     }
 }
 
@@ -1790,7 +1799,7 @@ impl Scheduler for ListSched {
             seq_peak: Some(*seq_peak),
             cap_violations: None,
         };
-        finish(self.name(), req, schedule, diag)
+        finish(self.name(), req, schedule, diag, scratch)
     }
 }
 
@@ -1870,7 +1879,7 @@ impl Scheduler for MemBoundedSched {
             seq_peak: Some(scratch.seq_peak),
             cap_violations: Some(run.violations),
         };
-        finish(self.name(), req, run.schedule, diag)
+        finish(self.name(), req, run.schedule, diag, scratch)
     }
 }
 

@@ -5,8 +5,18 @@
 //! scale each task's expected execution time by the speed of its assigned
 //! processor and additionally expose per-memory-domain peaks
 //! ([`Schedule::domain_peaks`]) for NUMA-style platforms.
+//!
+//! One evaluator serves every entry point: a single pass over the tasks
+//! in id order runs every validity check and records each task's start
+//! and finish as an integer sort key; after sorting the two key arrays, a
+//! walk of the start order checks each processor for overlaps, and one
+//! merged walk of both orders sweeps the memory (globally, per domain and
+//! as a profile). The schedulers evaluate through the buffers of their
+//! [`crate::api::Scratch`], reused from call to call; the public methods
+//! here run the same code on fresh buffers.
 
 use crate::api::Platform;
+use crate::listsched::key_from_f64;
 use treesched_model::{NodeId, TaskTree};
 
 /// Placement of one task: processor and time interval.
@@ -89,7 +99,10 @@ impl Schedule {
     /// in range, no overlap per processor, and every parent starting no
     /// earlier than the finish of each of its children.
     pub fn validate(&self, tree: &TaskTree) -> Result<(), ScheduleError> {
-        self.validate_with(tree, |_| 1.0)
+        let unit = Platform::new(self.processors);
+        EvalScratch::default()
+            .check(self, tree, &unit, false)
+            .map(drop)
     }
 
     /// [`Schedule::validate`] for a heterogeneous [`Platform`]: the expected
@@ -105,103 +118,9 @@ impl Schedule {
     /// placed in a different memory domain — the time the child's output
     /// needs to cross into the parent's domain.
     pub fn validate_on(&self, tree: &TaskTree, platform: &Platform) -> Result<(), ScheduleError> {
-        if self.placements.len() != tree.len() {
-            return Err(ScheduleError::WrongLength {
-                expected: tree.len(),
-                got: self.placements.len(),
-            });
-        }
-        let p = platform.processors();
-        if let Some(i) = tree.ids().find(|&i| self.placement(i).proc >= p) {
-            return Err(ScheduleError::BadProcessor {
-                node: i,
-                proc: self.placement(i).proc,
-            });
-        }
-        self.validate_with(tree, |proc| platform.speed_of(proc))?;
-        if platform.has_comm() {
-            // domain of each processor, resolved once
-            let domain = |proc: u32| platform.domain_of(proc);
-            for i in tree.ids() {
-                let pl = self.placement(i);
-                let dst = domain(pl.proc);
-                for &c in tree.children(i) {
-                    let cp = self.placement(c);
-                    let cost = match (domain(cp.proc), dst) {
-                        (Some(src), Some(dst)) => platform.comm_cost(src, dst),
-                        _ => 0.0,
-                    };
-                    let earliest = cp.finish + tree.output(c) * cost;
-                    if pl.start + TIME_EPS * (1.0 + earliest.abs()) < earliest {
-                        return Err(ScheduleError::DependencyViolated {
-                            parent: i,
-                            child: c,
-                        });
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn validate_with(
-        &self,
-        tree: &TaskTree,
-        speed_of: impl Fn(u32) -> f64,
-    ) -> Result<(), ScheduleError> {
-        let n = tree.len();
-        if self.placements.len() != n {
-            return Err(ScheduleError::WrongLength {
-                expected: n,
-                got: self.placements.len(),
-            });
-        }
-        for i in tree.ids() {
-            let pl = self.placement(i);
-            if pl.proc >= self.processors {
-                return Err(ScheduleError::BadProcessor {
-                    node: i,
-                    proc: pl.proc,
-                });
-            }
-            let w = tree.work(i) / speed_of(pl.proc);
-            if !(pl.start.is_finite() && pl.finish.is_finite())
-                || pl.start < 0.0
-                || (pl.finish - (pl.start + w)).abs() > TIME_EPS * (1.0 + pl.finish.abs())
-            {
-                return Err(ScheduleError::BadInterval { node: i });
-            }
-            for &c in tree.children(i) {
-                let cf = self.placement(c).finish;
-                if pl.start + TIME_EPS * (1.0 + cf.abs()) < cf {
-                    return Err(ScheduleError::DependencyViolated {
-                        parent: i,
-                        child: c,
-                    });
-                }
-            }
-        }
-        // per-processor overlap check
-        let mut by_proc: Vec<Vec<NodeId>> = vec![Vec::new(); self.processors as usize];
-        for i in tree.ids() {
-            by_proc[self.placement(i).proc as usize].push(i);
-        }
-        for (proc, tasks) in by_proc.iter_mut().enumerate() {
-            tasks.sort_by(|&a, &b| self.placement(a).start.total_cmp(&self.placement(b).start));
-            for pair in tasks.windows(2) {
-                let (a, b) = (pair[0], pair[1]);
-                let fa = self.placement(a).finish;
-                let sb = self.placement(b).start;
-                if sb + TIME_EPS * (1.0 + fa.abs()) < fa {
-                    return Err(ScheduleError::Overlap {
-                        a,
-                        b,
-                        proc: proc as u32,
-                    });
-                }
-            }
-        }
-        Ok(())
+        EvalScratch::default()
+            .check(self, tree, platform, true)
+            .map(drop)
     }
 
     /// Peak memory of the schedule under the paper's model, via an event
@@ -213,37 +132,9 @@ impl Schedule {
     /// Finish events at a given instant are applied before start events at
     /// the same instant (task intervals are half-open `[start, finish)`).
     pub fn peak_memory(&self, tree: &TaskTree) -> f64 {
-        #[derive(Clone, Copy)]
-        struct Ev {
-            time: f64,
-            /// 0 = finish (free), 1 = start (allocate)
-            phase: u8,
-            delta: f64,
-        }
-        let mut evs = Vec::with_capacity(tree.len() * 2);
-        for i in tree.ids() {
-            let pl = self.placement(i);
-            evs.push(Ev {
-                time: pl.start,
-                phase: 1,
-                delta: tree.exec(i) + tree.output(i),
-            });
-            evs.push(Ev {
-                time: pl.finish,
-                phase: 0,
-                delta: -(tree.exec(i) + tree.input_size(i)),
-            });
-        }
-        evs.sort_by(|a, b| a.time.total_cmp(&b.time).then(a.phase.cmp(&b.phase)));
-        let mut cur = 0.0f64;
-        let mut peak = 0.0f64;
-        for e in evs {
-            cur += e.delta;
-            if cur > peak {
-                peak = cur;
-            }
-        }
-        peak
+        let mut buf = EvalScratch::default();
+        buf.index(self, tree);
+        buf.sweep(self, tree, 0, None)
     }
 
     /// Peak memory per memory domain of `platform`, via the same event
@@ -260,63 +151,25 @@ impl Schedule {
     /// Returns one peak per domain, in [`Platform::domains`] order; empty
     /// when the platform declares no domains.
     pub fn domain_peaks(&self, tree: &TaskTree, platform: &Platform) -> Vec<f64> {
-        let n_domains = platform.domains().len();
-        if n_domains == 0 {
-            return Vec::new();
+        let mut buf = EvalScratch::default();
+        if !platform.domains().is_empty() {
+            buf.index(self, tree);
+            platform.fill_domains(&mut buf.domains);
+            buf.sweep(self, tree, platform.domains().len(), None);
         }
-        // (time, phase, domain, delta): frees (phase 0) before allocations
-        // (phase 1) at equal instants, exactly like the global sweep
-        let mut evs: Vec<(f64, u8, usize, f64)> = Vec::with_capacity(tree.len() * 2);
-        for i in tree.ids() {
-            let pl = self.placement(i);
-            let Some(d) = platform.domain_of(pl.proc) else {
-                continue;
-            };
-            evs.push((pl.start, 1, d, tree.exec(i) + tree.output(i)));
-            evs.push((pl.finish, 0, d, -tree.exec(i)));
-        }
-        // input files are freed from the producing child's domain when the
-        // parent finishes (the root's output stays resident to the end)
-        for i in tree.ids() {
-            let finish = self.placement(i).finish;
-            for &c in tree.children(i) {
-                if let Some(d) = platform.domain_of(self.placement(c).proc) {
-                    evs.push((finish, 0, d, -tree.output(c)));
-                }
-            }
-        }
-        evs.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut cur = vec![0.0f64; n_domains];
-        let mut peak = vec![0.0f64; n_domains];
-        for (_, _, d, delta) in evs {
-            cur[d] += delta;
-            if cur[d] > peak[d] {
-                peak[d] = cur[d];
-            }
-        }
-        peak
+        buf.peaks
     }
 
-    /// Memory profile sampled at every event instant (after applying the
-    /// instant's frees and allocations). Returns `(time, memory)` pairs,
-    /// useful for plotting.
+    /// Memory profile sampled at every event instant: the memory held
+    /// after applying all of the instant's frees and allocations, which
+    /// stays the level until the next instant. Returns `(time, memory)`
+    /// pairs, useful for plotting; the largest memory is
+    /// [`Schedule::peak_memory`].
     pub fn memory_profile(&self, tree: &TaskTree) -> Vec<(f64, f64)> {
-        let mut evs: Vec<(f64, u8, f64)> = Vec::with_capacity(tree.len() * 2);
-        for i in tree.ids() {
-            let pl = self.placement(i);
-            evs.push((pl.start, 1, tree.exec(i) + tree.output(i)));
-            evs.push((pl.finish, 0, -(tree.exec(i) + tree.input_size(i))));
-        }
-        evs.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut out: Vec<(f64, f64)> = Vec::new();
-        let mut cur = 0.0;
-        for (t, _, d) in evs {
-            cur += d;
-            match out.last_mut() {
-                Some(last) if last.0 == t => last.1 = cur,
-                _ => out.push((t, cur)),
-            }
-        }
+        let mut buf = EvalScratch::default();
+        let mut out = Vec::new();
+        buf.index(self, tree);
+        buf.sweep(self, tree, 0, Some(&mut out));
         out
     }
 
@@ -353,18 +206,22 @@ impl Schedule {
     /// Number of tasks running at any time, sampled at start events; the
     /// maximum must never exceed `p` for a valid schedule.
     pub fn max_concurrency(&self) -> usize {
-        let mut evs: Vec<(f64, i32, u8)> = Vec::with_capacity(self.placements.len() * 2);
-        for pl in &self.placements {
-            evs.push((pl.start, 1, 1));
-            evs.push((pl.finish, -1, 0));
-        }
-        evs.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.2.cmp(&b.2)));
-        let mut cur = 0i32;
-        let mut peak = 0i32;
-        for (_, d, _) in evs {
-            cur += d;
-            peak = peak.max(cur);
-        }
+        let events = |time: fn(&Placement) -> f64| {
+            let mut keys: Vec<EventKey> = (self.placements.iter().enumerate())
+                .map(|(i, pl)| event(time(pl), i as u32))
+                .collect();
+            keys.sort_unstable();
+            keys
+        };
+        let (mut running, mut peak) = (0i64, 0i64);
+        instants(
+            &events(|pl| pl.start),
+            &events(|pl| pl.finish),
+            |finishing, starting| {
+                running += starting.len() as i64 - finishing.len() as i64;
+                peak = peak.max(running);
+            },
+        );
         peak as usize
     }
 }
@@ -382,11 +239,8 @@ pub struct EvalResult {
 /// non-panicking path used by the [`crate::api`] layer: an invalid schedule
 /// comes back as the [`ScheduleError`] that [`Schedule::validate`] found.
 pub fn try_evaluate(tree: &TaskTree, schedule: &Schedule) -> Result<EvalResult, ScheduleError> {
-    schedule.validate(tree)?;
-    Ok(EvalResult {
-        makespan: schedule.makespan(),
-        peak_memory: schedule.peak_memory(tree),
-    })
+    let unit = Platform::new(schedule.processors);
+    EvalScratch::default().evaluate(schedule, tree, &unit, false, false)
 }
 
 /// [`try_evaluate`] for a heterogeneous [`Platform`]: validation scales
@@ -399,11 +253,386 @@ pub fn try_evaluate_on(
     schedule: &Schedule,
     platform: &Platform,
 ) -> Result<EvalResult, ScheduleError> {
-    schedule.validate_on(tree, platform)?;
-    Ok(EvalResult {
-        makespan: schedule.makespan(),
-        peak_memory: schedule.peak_memory(tree),
-    })
+    EvalScratch::default().evaluate(schedule, tree, platform, true, false)
+}
+
+// ---------------------------------------------------------------------------
+// The evaluator
+// ---------------------------------------------------------------------------
+
+/// One event: the time encoded to order like [`f64::total_cmp`]
+/// ([`key_from_f64`]) in the high 64 bits, the node id in the low 32, so
+/// equal instants go in id order. One integer compares faster than a
+/// tuple.
+type EventKey = u128;
+
+fn event(t: f64, node: u32) -> EventKey {
+    (key_from_f64(t) as u128) << 32 | node as u128
+}
+
+/// The node of an event.
+fn node(e: EventKey) -> NodeId {
+    NodeId(e as u32)
+}
+
+/// The instant of an event, as its encoded time.
+fn instant(e: EventKey) -> u64 {
+    (e >> 32) as u64
+}
+
+/// The time of an event, decoded bit for bit.
+fn time(e: EventKey) -> f64 {
+    let k = instant(e);
+    f64::from_bits(if k >> 63 == 1 { k & !(1 << 63) } else { !k })
+}
+
+/// Working memory of the schedule evaluator. [`crate::api::Scratch`]
+/// keeps one, so a warm scheduler validates and evaluates its schedules
+/// without allocating; the public [`Schedule`] methods and
+/// [`try_evaluate_on`] run the same code on a fresh one.
+///
+/// Evaluation is one pass over the tasks, two sorts and two walks:
+///
+/// 1. the pass, in id order, makes every per-task validity check; each
+///    task's start and finish are then recorded as integer keys;
+/// 2. the sorted start keys give the per-processor overlap check: each
+///    task against the previous one on its processor;
+/// 3. the sorted finish keys, merged with the start keys, give the
+///    memory sweep, finishes before starts at equal instants.
+///
+/// Ties go by node id, which is the summation order of a stable sort over
+/// events pushed in id order, so every peak is bit-for-bit what such a
+/// sort computes.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct EvalScratch {
+    /// `(start, node)` of every task, sorted after the checks: the
+    /// dispatch order.
+    starts: Vec<EventKey>,
+    /// `(finish, node)` of every task, sorted by the sweep: the
+    /// completion order.
+    finishes: Vec<EventKey>,
+    /// Speed of each processor.
+    speeds: Vec<f64>,
+    /// Memory domain of each processor; `u32::MAX` for none.
+    domains: Vec<u32>,
+    /// What each task allocates when it starts (`n_i + f_i`), by node.
+    alloc: Vec<f64>,
+    /// What each task frees when it finishes (`-(n_i + inputs)`), by node.
+    free: Vec<f64>,
+    /// The previous task on each processor during the overlap check.
+    last: Vec<u32>,
+    /// Memory currently held in each domain during the sweep.
+    held: Vec<f64>,
+    /// Peak memory of each domain, left by the last sweep.
+    peaks: Vec<f64>,
+}
+
+impl EvalScratch {
+    /// Validates `s` on `platform`, then sweeps it: the makespan, the
+    /// global peak memory and, when `with_domains`, the per-domain peaks
+    /// ([`EvalScratch::domain_peaks`] reads them).
+    ///
+    /// `range_first` reports a processor outside `platform` ahead of every
+    /// other error, as [`Schedule::validate_on`] does; without it errors
+    /// come in node order, as [`Schedule::validate`] reports them.
+    pub(crate) fn evaluate(
+        &mut self,
+        s: &Schedule,
+        tree: &TaskTree,
+        platform: &Platform,
+        range_first: bool,
+        with_domains: bool,
+    ) -> Result<EvalResult, ScheduleError> {
+        let makespan = self.check(s, tree, platform, range_first)?;
+        let domains = if with_domains {
+            platform.fill_domains(&mut self.domains);
+            platform.domains().len()
+        } else {
+            0
+        };
+        let peak_memory = self.sweep(s, tree, domains, None);
+        Ok(EvalResult {
+            makespan,
+            peak_memory,
+        })
+    }
+
+    /// Per-domain peaks of the last [`EvalScratch::evaluate`] run with
+    /// domains, in [`Platform::domains`] order.
+    pub(crate) fn domain_peaks(&self) -> &[f64] {
+        &self.peaks
+    }
+
+    /// Records each task's start and finish key in id order, with no
+    /// checks, and sorts the start keys.
+    fn index(&mut self, s: &Schedule, tree: &TaskTree) {
+        let placements = &s.placements[..tree.len()];
+        let events = |v: &mut Vec<EventKey>, time: fn(&Placement) -> f64| {
+            v.clear();
+            v.extend((placements.iter().zip(0..)).map(|(pl, i)| event(time(pl), i)));
+        };
+        events(&mut self.starts, |pl| pl.start);
+        events(&mut self.finishes, |pl| pl.finish);
+        self.starts.sort_unstable();
+    }
+
+    /// Every check of [`Schedule::validate_on`], in its order: length;
+    /// with `range_first`, the first task outside the platform; then per
+    /// task in id order its processor, interval and dependencies; then
+    /// per-processor overlaps, the lowest processor's first pair; then,
+    /// with communication costs, the first dependency whose transfer has
+    /// not arrived. Leaves the start keys sorted and returns the makespan.
+    fn check(
+        &mut self,
+        s: &Schedule,
+        tree: &TaskTree,
+        platform: &Platform,
+        range_first: bool,
+    ) -> Result<f64, ScheduleError> {
+        if s.placements.len() != tree.len() {
+            return Err(ScheduleError::WrongLength {
+                expected: tree.len(),
+                got: s.placements.len(),
+            });
+        }
+        let p = platform.processors();
+        let comm = platform.has_comm();
+        platform.fill_speeds(&mut self.speeds);
+        if comm {
+            platform.fill_domains(&mut self.domains);
+        }
+        // the first failed per-task check, reported once no task turns out
+        // to lie outside the platform; a late transfer ranks after the
+        // overlap check
+        let mut error = None;
+        let mut late = None;
+        let mut makespan = 0.0f64;
+        for i in tree.ids() {
+            let pl = s.placement(i);
+            if range_first && pl.proc >= p {
+                return Err(ScheduleError::BadProcessor {
+                    node: i,
+                    proc: pl.proc,
+                });
+            }
+            if error.is_some() {
+                continue;
+            }
+            if pl.proc >= s.processors || pl.proc >= p {
+                error = Some(ScheduleError::BadProcessor {
+                    node: i,
+                    proc: pl.proc,
+                });
+                continue;
+            }
+            let w = tree.work(i) / self.speeds[pl.proc as usize];
+            if !(pl.start.is_finite() && pl.finish.is_finite())
+                || pl.start < 0.0
+                || (pl.finish - (pl.start + w)).abs() > TIME_EPS * (1.0 + pl.finish.abs())
+            {
+                error = Some(ScheduleError::BadInterval { node: i });
+                continue;
+            }
+            let early = tree.children(i).iter().find(|&&c| {
+                let cf = s.placement(c).finish;
+                pl.start + TIME_EPS * (1.0 + cf.abs()) < cf
+            });
+            if let Some(&child) = early {
+                error = Some(ScheduleError::DependencyViolated { parent: i, child });
+                continue;
+            }
+            if comm && late.is_none() {
+                late = self.late_transfer(s, tree, platform, i);
+            }
+            makespan = makespan.max(pl.finish);
+        }
+        if let Some(error) = error {
+            return Err(error);
+        }
+        self.index(s, tree);
+        // walking the start order, each task meets the previous task on
+        // its processor: the per-processor start order, ties by id
+        self.last.clear();
+        self.last.resize(s.processors as usize, u32::MAX);
+        let mut overlap: Option<ScheduleError> = None;
+        for &e in &self.starts {
+            let b = node(e);
+            let proc = s.placement(b).proc;
+            let a = std::mem::replace(&mut self.last[proc as usize], b.0);
+            if a == u32::MAX {
+                continue;
+            }
+            let fa = s.placements[a as usize].finish;
+            let sb = s.placement(b).start;
+            let lower = match overlap {
+                Some(ScheduleError::Overlap { proc: first, .. }) => proc < first,
+                _ => true,
+            };
+            if lower && sb + TIME_EPS * (1.0 + fa.abs()) < fa {
+                overlap = Some(ScheduleError::Overlap {
+                    a: NodeId(a),
+                    b,
+                    proc,
+                });
+                if proc == 0 {
+                    break;
+                }
+            }
+        }
+        match overlap.or(late) {
+            Some(error) => Err(error),
+            None => Ok(makespan),
+        }
+    }
+
+    /// The first child of `i` whose output has not crossed into `i`'s
+    /// domain by `i`'s start. A child on a processor outside the platform
+    /// is skipped: its own check reports it first.
+    fn late_transfer(
+        &self,
+        s: &Schedule,
+        tree: &TaskTree,
+        platform: &Platform,
+        i: NodeId,
+    ) -> Option<ScheduleError> {
+        let domain = |proc: u32| match self.domains.get(proc as usize) {
+            Some(&d) if d != u32::MAX => Some(d as usize),
+            _ => None,
+        };
+        let pl = s.placement(i);
+        let dst = domain(pl.proc);
+        tree.children(i).iter().find_map(|&c| {
+            let cp = s.placement(c);
+            let cost = match (domain(cp.proc), dst) {
+                (Some(src), Some(dst)) => platform.comm_cost(src, dst),
+                _ => 0.0,
+            };
+            let earliest = cp.finish + tree.output(c) * cost;
+            (pl.start + TIME_EPS * (1.0 + earliest.abs()) < earliest).then_some(
+                ScheduleError::DependencyViolated {
+                    parent: i,
+                    child: c,
+                },
+            )
+        })
+    }
+
+    /// Sorts the finish keys, notes what each task allocates and frees,
+    /// and sweeps the memory over both orders. Returns the global peak;
+    /// with `domains > 0` (and `self.domains` filled) leaves the
+    /// per-domain peaks in `self.peaks`; with `profile`, appends the
+    /// memory after each instant.
+    ///
+    /// At one instant, finishing tasks free in id order, then starting
+    /// tasks allocate in id order. A domain frees its finishing tasks'
+    /// programs first, then their children's outputs, parent by parent.
+    fn sweep(
+        &mut self,
+        s: &Schedule,
+        tree: &TaskTree,
+        domains: usize,
+        mut profile: Option<&mut Vec<(f64, f64)>>,
+    ) -> f64 {
+        let EvalScratch {
+            starts,
+            finishes,
+            domains: domain_of,
+            alloc,
+            free,
+            held,
+            peaks,
+            ..
+        } = self;
+        finishes.sort_unstable();
+        alloc.clear();
+        alloc.extend(tree.ids().map(|i| tree.exec(i) + tree.output(i)));
+        free.clear();
+        free.extend(tree.ids().map(|i| -(tree.exec(i) + tree.input_size(i))));
+        held.clear();
+        held.resize(domains, 0.0);
+        peaks.clear();
+        peaks.resize(domains, 0.0);
+        let domain = |i: NodeId| match domain_of[s.placement(i).proc as usize] {
+            u32::MAX => None,
+            d => Some(d as usize),
+        };
+        let mut add = |d: usize, delta: f64| {
+            held[d] += delta;
+            if held[d] > peaks[d] {
+                peaks[d] = held[d];
+            }
+        };
+        let (mut cur, mut peak) = (0.0f64, 0.0f64);
+        let mut step = |e: EventKey, delta: f64| {
+            cur += delta;
+            if cur > peak {
+                peak = cur;
+            }
+            if let Some(out) = profile.as_deref_mut() {
+                let t = time(e);
+                match out.last_mut() {
+                    Some(last) if last.0 == t => last.1 = cur,
+                    _ => out.push((t, cur)),
+                }
+            }
+        };
+        instants(starts, finishes, |finishing, starting| {
+            for &e in finishing {
+                step(e, free[node(e).index()]);
+            }
+            if domains > 0 {
+                for &e in finishing {
+                    if let Some(d) = domain(node(e)) {
+                        add(d, -tree.exec(node(e)));
+                    }
+                }
+                for &e in finishing {
+                    for &c in tree.children(node(e)) {
+                        if let Some(d) = domain(c) {
+                            add(d, -tree.output(c));
+                        }
+                    }
+                }
+            }
+            for &e in starting {
+                let i = node(e).index();
+                step(e, alloc[i]);
+                if domains > 0 {
+                    if let Some(d) = domain(node(e)) {
+                        add(d, alloc[i]);
+                    }
+                }
+            }
+        });
+        peak
+    }
+}
+
+/// Walks two sorted key arrays one instant at a time, earliest first:
+/// calls `at` with the tasks finishing and the tasks starting at that
+/// instant (either may be empty), each in id order.
+fn instants(
+    starts: &[EventKey],
+    finishes: &[EventKey],
+    mut at: impl FnMut(&[EventKey], &[EventKey]),
+) {
+    let (mut a, mut f) = (0, 0);
+    while a < starts.len() || f < finishes.len() {
+        let t = match (starts.get(a), finishes.get(f)) {
+            (Some(&st), Some(&fi)) => instant(st).min(instant(fi)),
+            (Some(&st), None) => instant(st),
+            (None, Some(&fi)) => instant(fi),
+            (None, None) => unreachable!("the loop condition"),
+        };
+        let (f0, a0) = (f, a);
+        while f < finishes.len() && instant(finishes[f]) == t {
+            f += 1;
+        }
+        while a < starts.len() && instant(starts[a]) == t {
+            a += 1;
+        }
+        at(&finishes[f0..f], &starts[a0..a]);
+    }
 }
 
 #[cfg(test)]
