@@ -131,6 +131,9 @@ pub struct ServeStats {
     /// Requests each worker served, by worker index (one entry per worker;
     /// requests lost with a dead worker count in `worker_lost` instead).
     pub worker_requests: Vec<u64>,
+    /// Microseconds each worker spent serving requests, by worker index:
+    /// its time inside batches, not waiting for one.
+    pub worker_busy_us: Vec<u64>,
 }
 
 impl ServeStats {
@@ -138,6 +141,7 @@ impl ServeStats {
     pub fn idle(workers: usize) -> ServeStats {
         ServeStats {
             worker_requests: vec![0; workers.max(1)],
+            worker_busy_us: vec![0; workers.max(1)],
             ..ServeStats::default()
         }
     }
@@ -153,12 +157,8 @@ impl ServeStats {
             subtree_views: self.subtree_views - before.subtree_views,
             worker_lost: self.worker_lost - before.worker_lost,
             reroutes: self.reroutes - before.reroutes,
-            worker_requests: self
-                .worker_requests
-                .iter()
-                .zip(&before.worker_requests)
-                .map(|(now, then)| now - then)
-                .collect(),
+            worker_requests: per_worker_since(&self.worker_requests, &before.worker_requests),
+            worker_busy_us: per_worker_since(&self.worker_busy_us, &before.worker_busy_us),
         }
     }
 
@@ -166,7 +166,8 @@ impl ServeStats {
     /// `engine_requests_total`, `engine_batches_total`,
     /// `traversal_computes_total`, `traversal_reuses_total`,
     /// `subtree_views_total`, `worker_lost_total`, `reroutes_total`, then
-    /// `worker_{w}_requests_total` for each worker `w`. The serve daemon
+    /// `worker_{w}_requests_total` for each worker `w`, then
+    /// `worker_{w}_busy_us_total` for each worker `w`. The serve daemon
     /// and batch `serve` both mirror these, so scrapes of either surface
     /// read identically.
     pub fn named_counters(&self) -> Vec<(String, u64)> {
@@ -179,17 +180,23 @@ impl ServeStats {
             ("worker_lost_total", self.worker_lost),
             ("reroutes_total", self.reroutes),
         ];
-        let per_worker = self
-            .worker_requests
-            .iter()
-            .enumerate()
-            .map(|(w, &n)| (format!("worker_{w}_requests_total"), n));
+        let per_worker = |counts: &[u64], what: &str| {
+            (counts.iter().enumerate())
+                .map(|(w, &n)| (format!("worker_{w}_{what}_total"), n))
+                .collect::<Vec<_>>()
+        };
         totals
             .into_iter()
             .map(|(name, n)| (name.to_string(), n))
-            .chain(per_worker)
+            .chain(per_worker(&self.worker_requests, "requests"))
+            .chain(per_worker(&self.worker_busy_us, "busy_us"))
             .collect()
     }
+}
+
+/// Element-wise `now - then` of two per-worker counter readings.
+fn per_worker_since(now: &[u64], then: &[u64]) -> Vec<u64> {
+    now.iter().zip(then).map(|(now, then)| now - then).collect()
 }
 
 /// The worker that serves a tree of fingerprint `fp` among `workers`.
@@ -210,6 +217,7 @@ struct Counters {
     worker_lost: AtomicU64,
     reroutes: AtomicU64,
     worker_requests: Vec<AtomicU64>,
+    worker_busy_ns: Vec<AtomicU64>,
 }
 
 type Batch = Vec<(u64, ServeRequest)>;
@@ -244,6 +252,7 @@ impl ServeEngine {
         let workers = workers.max(1);
         let counters = Arc::new(Counters {
             worker_requests: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            worker_busy_ns: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             ..Counters::default()
         });
         let (results_tx, results_rx) = channel();
@@ -455,6 +464,12 @@ impl ServeEngine {
                 .iter()
                 .map(|n| n.load(Ordering::Relaxed))
                 .collect(),
+            worker_busy_us: self
+                .counters
+                .worker_busy_ns
+                .iter()
+                .map(|ns| ns.load(Ordering::Relaxed) / 1000)
+                .collect(),
         }
     }
 }
@@ -515,6 +530,7 @@ fn worker_loop(
         // are flushed *before* each send, keeping `stats()` exact the
         // instant the final result of a drain is received
         for (index, request) in batch {
+            let start = std::time::Instant::now();
             let result = serve_one(registry, &request, &mut scratch, index);
             let now = scratch.stats();
             counters.requests.fetch_add(1, Ordering::Relaxed);
@@ -531,6 +547,8 @@ fn worker_loop(
                 .subtree_views
                 .fetch_add(now.subtree_views - seen.subtree_views, Ordering::Relaxed);
             seen = now;
+            counters.worker_busy_ns[worker]
+                .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
             if results.send(result).is_err() {
                 return; // engine dropped mid-drain
             }
@@ -637,13 +655,25 @@ mod tests {
                     Platform::new(2),
                 ));
             }
+            let start = std::time::Instant::now();
             assert_eq!(engine.drain().len(), trees.len());
-            let served = engine.stats().worker_requests;
+            let wall_us = start.elapsed().as_micros() as u64;
+            let stats = engine.stats();
+            let served = stats.worker_requests;
             assert!(
                 served.iter().all(|&n| n > 0),
                 "{workers} workers: {served:?}"
             );
             assert_eq!(served, routed);
+            // busy time is time inside the drain, spread over every worker
+            let busy = stats.worker_busy_us;
+            if workers == 2 {
+                assert!(busy.iter().all(|&us| us > 0), "{busy:?}");
+            }
+            assert!(
+                busy.iter().sum::<u64>() <= workers as u64 * wall_us,
+                "{workers} workers: {busy:?} in {wall_us} us"
+            );
         }
     }
 
@@ -655,6 +685,7 @@ mod tests {
         engine.run(mixed_stream());
         let delta = engine.stats().since(&before);
         assert_eq!(delta.worker_requests.iter().sum::<u64>(), delta.requests);
+        assert_eq!(delta.worker_busy_us.len(), 3);
         let names: Vec<String> = delta.named_counters().into_iter().map(|(n, _)| n).collect();
         assert_eq!(names[0], "engine_requests_total");
         assert_eq!(names[6], "reroutes_total");
@@ -663,7 +694,10 @@ mod tests {
             [
                 "worker_0_requests_total",
                 "worker_1_requests_total",
-                "worker_2_requests_total"
+                "worker_2_requests_total",
+                "worker_0_busy_us_total",
+                "worker_1_busy_us_total",
+                "worker_2_busy_us_total"
             ]
         );
     }
