@@ -334,7 +334,8 @@ impl EvalScratch {
     ///
     /// `range_first` reports a processor outside `platform` ahead of every
     /// other error, as [`Schedule::validate_on`] does; without it errors
-    /// come in node order, as [`Schedule::validate`] reports them.
+    /// come in node order, as [`Schedule::validate`] reports them on a
+    /// platform of the schedule's own processor count.
     pub(crate) fn evaluate(
         &mut self,
         s: &Schedule,
@@ -831,5 +832,51 @@ mod tests {
             placements: vec![place(0, 0.0, 1.0), place(0, 0.0, 1.0)],
         };
         assert!(try_evaluate(&t, &s).is_err());
+    }
+
+    /// Counts the allocations of the calling thread only, so the count is
+    /// not disturbed by tests running in parallel.
+    struct Counting;
+
+    thread_local! {
+        static ALLOCATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    unsafe impl std::alloc::GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            ALLOCATIONS.with(|n| n.set(n.get() + 1));
+            std::alloc::System.alloc(layout)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            std::alloc::System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static COUNTING: Counting = Counting;
+
+    #[test]
+    fn a_warm_evaluator_does_not_allocate() {
+        use crate::api::{ProcClass, Request, SchedulerRegistry, Scratch};
+        let t = TaskTree::complete(3, 4, 1.0, 2.0, 0.5);
+        // speeds, two domains and transfer costs: every table is in use
+        let platform =
+            Platform::heterogeneous(vec![ProcClass::new(2, 1.0), ProcClass::new(2, 2.0)])
+                .with_domain(1e9, &[0])
+                .with_domain(1e9, &[1])
+                .with_comm(vec![0.0, 0.5, 0.5, 0.0]);
+        let registry = SchedulerRegistry::standard();
+        let s = (registry.get("deepest").unwrap())
+            .schedule(&Request::new(&t, platform.clone()), &mut Scratch::new())
+            .unwrap()
+            .schedule;
+        let mut eval = EvalScratch::default();
+        let cold = eval.evaluate(&s, &t, &platform, true, true).unwrap();
+        let cold_peaks = eval.domain_peaks().to_vec();
+        let before = ALLOCATIONS.with(|n| n.get());
+        let warm = eval.evaluate(&s, &t, &platform, true, true).unwrap();
+        assert_eq!(ALLOCATIONS.with(|n| n.get()), before);
+        assert_eq!((warm, eval.domain_peaks()), (cold, &cold_peaks[..]));
     }
 }

@@ -376,6 +376,15 @@ fn mutants(s: &Schedule, tree: &TaskTree, platform: &Platform, rng: &mut Mix) ->
     }
     with(&mut |m| m.processors = p.saturating_sub(1));
     with(&mut |m| m.processors = p + 2);
+    // a broken interval and, at another task, a processor outside the
+    // platform: which one is reported depends on the entry point
+    let (i, j) = (rng.below(n), rng.below(n));
+    if i != j {
+        with(&mut |m| {
+            m.placements[i].finish += 0.5;
+            m.placements[j].proc = p;
+        });
+    }
     // non-finite, negative and negative-zero times
     let i = rng.below(n);
     with(&mut |m| m.placements[i].start = f64::NAN);
