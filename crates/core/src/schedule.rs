@@ -293,11 +293,10 @@ fn time(e: EventKey) -> f64 {
 ///
 /// Evaluation is one pass over the tasks, two sorts and two walks:
 ///
-/// 1. the pass, in id order, makes every per-task validity check; each
-///    task's start and finish are then recorded as integer keys;
-/// 2. the sorted start keys give the per-processor overlap check: each
-///    task against the previous one on its processor;
-/// 3. the sorted finish keys, merged with the start keys, give the
+/// 1. the pass, in id order, makes every per-task validity check;
+/// 2. the start times, as sorted integer keys, give the per-processor
+///    overlap check: each task against the previous one on its processor;
+/// 3. the finish keys, sorted and merged with the start keys, give the
 ///    memory sweep, finishes before starts at equal instants.
 ///
 /// Ties go by node id, which is the summation order of a stable sort over
@@ -305,11 +304,10 @@ fn time(e: EventKey) -> f64 {
 /// sort computes.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct EvalScratch {
-    /// `(start, node)` of every task, sorted after the checks: the
-    /// dispatch order.
+    /// `(start, node)` of every task, sorted: the dispatch order.
     starts: Vec<EventKey>,
-    /// `(finish, node)` of every task, sorted by the sweep: the
-    /// completion order.
+    /// `(finish, node)` of every task, sorted: the completion order.
+    /// Only the memory sweep needs it, so validation alone skips it.
     finishes: Vec<EventKey>,
     /// Speed of each processor.
     speeds: Vec<f64>,
@@ -364,16 +362,12 @@ impl EvalScratch {
         &self.peaks
     }
 
-    /// Records each task's start and finish key in id order, with no
-    /// checks, and sorts the start keys.
+    /// Records and sorts the start keys of `tree`'s tasks, with no checks.
     fn index(&mut self, s: &Schedule, tree: &TaskTree) {
-        let placements = &s.placements[..tree.len()];
-        let events = |v: &mut Vec<EventKey>, time: fn(&Placement) -> f64| {
-            v.clear();
-            v.extend((placements.iter().zip(0..)).map(|(pl, i)| event(time(pl), i)));
-        };
-        events(&mut self.starts, |pl| pl.start);
-        events(&mut self.finishes, |pl| pl.finish);
+        let placements = s.placements[..tree.len()].iter().zip(0..);
+        self.starts.clear();
+        self.starts
+            .extend(placements.map(|(pl, i)| event(pl.start, i)));
         self.starts.sort_unstable();
     }
 
@@ -518,10 +512,10 @@ impl EvalScratch {
         })
     }
 
-    /// Sorts the finish keys, notes what each task allocates and frees,
-    /// and sweeps the memory over both orders. Returns the global peak;
-    /// with `domains > 0` (and `self.domains` filled) leaves the
-    /// per-domain peaks in `self.peaks`; with `profile`, appends the
+    /// Records and sorts the finish keys, notes what each task allocates
+    /// and frees, and sweeps the memory over both orders. Returns the
+    /// global peak; with `domains > 0` (and `self.domains` filled) leaves
+    /// the per-domain peaks in `self.peaks`; with `profile`, appends the
     /// memory after each instant.
     ///
     /// At one instant, finishing tasks free in id order, then starting
@@ -544,6 +538,9 @@ impl EvalScratch {
             peaks,
             ..
         } = self;
+        let placements = s.placements[..tree.len()].iter().zip(0..);
+        finishes.clear();
+        finishes.extend(placements.map(|(pl, i)| event(pl.finish, i)));
         finishes.sort_unstable();
         alloc.clear();
         alloc.extend(tree.ids().map(|i| tree.exec(i) + tree.output(i)));
