@@ -26,29 +26,27 @@
 
 use crate::harness::Row;
 use std::sync::Arc;
-use treesched_core::{
-    memory_reference, Metric, Platform, PlatformSpec, SchedError, SchedulerRegistry, SeqAlgo,
-};
+use treesched_core::{memory_reference, Metric, Platform, SchedError, SchedulerRegistry, SeqAlgo};
 use treesched_gen::{assembly_corpus, CorpusEntry, Scale};
 use treesched_model::TaskTree;
 use treesched_serve::{
-    platform_json, JsonRecord, ScheduleRecord, ServeEngine, ServeRequest, ServeStats,
+    platform_json, JsonRecord, ScheduleRecord, ServeEngine, ServeRequest, ServeStats, MAX_WORKERS,
 };
 
 // ---------------------------------------------------------------------------
 // Spec
 // ---------------------------------------------------------------------------
 
-/// One platform of a campaign grid: a declarative shape plus an optional
-/// per-tree memory-cap factor, under a stable label that tags every record
-/// produced at this point.
+/// One platform of a campaign grid: a platform plus an optional per-tree
+/// memory-cap factor, under a stable label that tags every record produced
+/// at this point.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PlatformPoint {
     /// Label tagging the point's records (`point` field), e.g. `p4` or
-    /// `2x2.0,2x1.0;1e9@0,1e9@1`.
+    /// `2x2,2x1;1000000000@0,1000000000@1`.
     pub label: String,
-    /// The platform shape (classes + domains with absolute capacities).
-    pub spec: PlatformSpec,
+    /// The platform (classes + domains with absolute capacities).
+    pub platform: Platform,
     /// Per-tree memory cap as a multiple of the tree's sequential
     /// reference peak: a point without domains gains one shared cap of
     /// `factor × M_seq(tree)`; a point with domains has each domain's
@@ -63,22 +61,22 @@ impl PlatformPoint {
     pub fn flat(p: u32) -> PlatformPoint {
         PlatformPoint {
             label: format!("p{p}"),
-            spec: PlatformSpec::flat(p),
+            platform: Platform::new(p),
             cap_factor: None,
         }
     }
 
-    /// A point from a parsed [`PlatformSpec`], labeled with its flag
-    /// spelling (`SPEEDS[;DOMAINS[;COMM]]`).
-    pub fn from_spec(spec: PlatformSpec) -> PlatformPoint {
-        let (speeds, domains, comm) = spec.flag_strings();
+    /// A point on `platform`, labeled with its flag spelling
+    /// (`SPEEDS[;DOMAINS[;COMM]]`, see [`Platform::flag_strings`]).
+    pub fn new(platform: Platform) -> PlatformPoint {
+        let (speeds, domains, comm) = platform.flag_strings();
         let mut label = speeds;
         for part in [domains, comm].into_iter().flatten() {
             label = format!("{label};{part}");
         }
         PlatformPoint {
             label,
-            spec,
+            platform,
             cap_factor: None,
         }
     }
@@ -94,11 +92,11 @@ impl PlatformPoint {
     /// The concrete platform this point means for a tree whose sequential
     /// reference peak is `mem_ref` (see [`PlatformPoint::cap_factor`]).
     pub fn resolve(&self, mem_ref: f64) -> Platform {
-        let platform = self.spec.to_platform();
+        let platform = &self.platform;
         match self.cap_factor {
-            None => platform,
+            None => platform.clone(),
             Some(factor) if platform.domains().is_empty() => {
-                platform.with_memory_cap(factor * mem_ref)
+                platform.clone().with_memory_cap(factor * mem_ref)
             }
             Some(factor) => {
                 // rebuild with each domain's capacity rescaled; the comm
@@ -761,6 +759,9 @@ pub fn spec_from_json(text: &str) -> Result<CampaignSpec, SpecError> {
                 if workers == 0 {
                     return Err("`workers` needs at least 1".into());
                 }
+                if workers > MAX_WORKERS {
+                    return Err(format!("`workers` must be at most {MAX_WORKERS}").into());
+                }
                 spec.workers = Some(workers);
             }
             "time_reps" => {
@@ -895,8 +896,8 @@ fn platform_point_from_value(
             }
             PlatformPoint::flat(p)
         }
-        (None, Some(speeds)) => PlatformPoint::from_spec(
-            PlatformSpec::parse_flags(&speeds, domains.as_deref(), comm.as_deref())
+        (None, Some(speeds)) => PlatformPoint::new(
+            Platform::parse_flags(&speeds, domains.as_deref(), comm.as_deref())
                 .map_err(|e| e.to_string())?,
         ),
         (None, None) => return Err("a platform point needs `processors` or `speeds`".into()),
@@ -1131,8 +1132,8 @@ mod tests {
         let mut runner = CampaignRunner::new(2);
         let spec = CampaignSpec::new("het")
             .with_tree("complete", TaskTree::complete(2, 5, 1.0, 2.0, 0.5))
-            .with_platform(PlatformPoint::from_spec(
-                PlatformSpec::parse_flags("2x2.0,2x1.0", Some("1e9@0,1e9@1"), None).unwrap(),
+            .with_platform(PlatformPoint::new(
+                Platform::parse_flags("2x2.0,2x1.0", Some("1e9@0,1e9@1"), None).unwrap(),
             ));
         let campaign = runner.run(&spec).unwrap();
         assert_eq!(campaign.records.len(), 4);
@@ -1145,13 +1146,24 @@ mod tests {
     }
 
     #[test]
+    fn comm_labels_name_the_matrix_not_its_spelling() {
+        let label = |comm: &str| {
+            PlatformPoint::new(
+                Platform::parse_flags("2x2.0,2x1.0", Some("1e9@0,1e9@1"), Some(comm)).unwrap(),
+            )
+            .label
+        };
+        assert_eq!(label("0-1:2"), "2x2,2x1;1000000000@0,1000000000@1;0-1:2");
+        assert_eq!(label("1-0:2"), label("0-1:2"));
+    }
+
+    #[test]
     fn comm_points_serve_list_schedulers_and_surface_typed_refusals() {
         let mut runner = CampaignRunner::new(2);
         let spec = CampaignSpec::new("comm")
             .with_tree("complete", TaskTree::complete(2, 5, 1.0, 2.0, 0.5))
-            .with_platform(PlatformPoint::from_spec(
-                PlatformSpec::parse_flags("2x2.0,2x1.0", Some("1e9@0,1e9@1"), Some("0-1:2"))
-                    .unwrap(),
+            .with_platform(PlatformPoint::new(
+                Platform::parse_flags("2x2.0,2x1.0", Some("1e9@0,1e9@1"), Some("0-1:2")).unwrap(),
             ));
         let campaign = runner.run(&spec).unwrap();
         assert_eq!(campaign.records.len(), 4);
@@ -1425,8 +1437,8 @@ mod tests {
         assert_eq!(spec.platforms[1].label, "p8/cap1.5");
         assert_eq!(spec.platforms[1].cap_factor, Some(1.5));
         assert_eq!(
-            spec.platforms[2].spec.classes,
-            vec![ProcClass::new(2, 2.0), ProcClass::new(2, 1.0)]
+            spec.platforms[2].platform.classes(),
+            &[ProcClass::new(2, 2.0), ProcClass::new(2, 1.0)]
         );
         assert_eq!(spec.seqs, vec![SeqAlgo::BestPostorder, SeqAlgo::LiuExact]);
         assert_eq!(spec.seed, Some(7));
@@ -1469,6 +1481,10 @@ mod tests {
             (
                 "{\"workers\":0,\"platforms\":[{\"processors\":2}]}",
                 "workers",
+            ),
+            (
+                "{\"workers\":257,\"platforms\":[{\"processors\":2}]}",
+                "`workers` must be at most 256",
             ),
             (
                 "{\"trees\":[\"/nonexistent/x.tree\"],\"platforms\":[{\"processors\":2}]}",

@@ -6,11 +6,9 @@
 //! exit with code 1; usage errors exit with code 2.
 
 use std::fmt::Write as _;
-use treesched_core::{
-    Platform, PlatformSpec, Request, SchedError, SchedulerRegistry, Scratch, SeqAlgo,
-};
+use treesched_core::{Platform, Request, SchedError, SchedulerRegistry, Scratch, SeqAlgo};
 use treesched_model::{io as tree_io, TaskTree, TreeStats};
-use treesched_serve::ServeEngine;
+use treesched_serve::{ServeEngine, MAX_WORKERS};
 use treesched_transport::{default_scheduler, Daemon, DaemonConfig, ListenOptions, RequestParser};
 
 /// Top-level usage text.
@@ -188,90 +186,128 @@ pub(crate) fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, 
         .map_err(|_| CliError::new(format!("cannot parse {what} from `{s}`")))
 }
 
-/// Builds the platform of a command from its `-p`/`--speeds`/`--domains`/
-/// `--comm`/`--cap` flags and validates it (typed platform errors map to
-/// exit 1). The flag syntax itself is parsed by the shared
-/// [`treesched_core::PlatformSpec::parse_flags`], which campaign specs use
-/// for the same spellings; its typed [`treesched_core::PlatformParseError`]
-/// renders here as the usage message.
-fn build_platform(
-    p: Option<u32>,
-    speeds: Option<&str>,
-    domains: Option<&str>,
-    comm: Option<&str>,
-    cap: Option<f64>,
-) -> Result<Platform, CliError> {
-    if cap.is_some() && domains.is_some() {
-        return Err(CliError::new(
-            "--cap and --domains cannot be combined (--cap is the single shared domain)",
-        ));
-    }
-    let parse = |speeds: &str| {
-        PlatformSpec::parse_flags(speeds, domains, comm).map_err(|e| CliError::new(e.to_string()))
-    };
-    let spec = match speeds {
-        Some(s) => {
-            let spec = parse(s)?;
-            let total = spec.processors();
-            if p.is_some_and(|p| p != total) {
-                return Err(CliError::new(format!(
-                    "-p {} contradicts --speeds ({total} processors)",
-                    p.expect("checked")
-                )));
-            }
-            spec
+/// The `--speeds`/`--domains`/`--comm`/`--workers` flags, read through one
+/// table for `schedule`, `pareto`, `serve` and `campaign`. Each subcommand
+/// takes the subset in `accepted` and handles every other argument itself,
+/// so it keeps its own unexpected-argument message.
+struct PlatformFlags<'a> {
+    accepted: &'static [&'static str],
+    /// How a `--workers` value that is not a number is named in its error.
+    workers_what: &'static str,
+    speeds: Option<&'a str>,
+    domains: Option<&'a str>,
+    comm: Option<&'a str>,
+    workers: Option<usize>,
+}
+
+impl<'a> PlatformFlags<'a> {
+    fn new(accepted: &'static [&'static str], workers_what: &'static str) -> PlatformFlags<'a> {
+        PlatformFlags {
+            accepted,
+            workers_what,
+            speeds: None,
+            domains: None,
+            comm: None,
+            workers: None,
         }
-        None => {
-            let p = p.ok_or_else(|| CliError::new("need -p N (or --speeds)"))?;
-            if domains.is_some() || comm.is_some() {
-                // flat processors with explicit domains: same parser, one
-                // implicit unit-speed class (a comm matrix without domains
-                // is its typed out-of-range error)
-                parse(&format!("{p}x1"))?
-            } else {
-                PlatformSpec::flat(p)
+    }
+
+    /// Takes `flag` and its value from `it` when the subcommand accepts
+    /// it; returns `false`, consuming nothing, for any other argument.
+    fn read(
+        &mut self,
+        flag: &str,
+        it: &mut impl Iterator<Item = &'a String>,
+    ) -> Result<bool, CliError> {
+        let want = match flag {
+            "--speeds" => "COUNTxSPEED entries",
+            "--domains" => "CAP@CLASSES entries",
+            "--comm" => "SRC-DST:COST entries",
+            "--workers" => "N",
+            _ => return Ok(false),
+        };
+        if !self.accepted.contains(&flag) {
+            return Ok(false);
+        }
+        let value = it
+            .next()
+            .ok_or_else(|| CliError::new(format!("{flag} needs {want}")))?;
+        match flag {
+            "--speeds" => self.speeds = Some(value),
+            "--domains" => self.domains = Some(value),
+            "--comm" => self.comm = Some(value),
+            _ => {
+                let workers: usize = parse_num(value, self.workers_what)?;
+                if workers == 0 {
+                    return Err(CliError::new("--workers needs at least 1"));
+                }
+                if workers > MAX_WORKERS {
+                    return Err(CliError::new(format!(
+                        "--workers must be at most {MAX_WORKERS}"
+                    )));
+                }
+                self.workers = Some(workers);
             }
         }
-    };
-    let mut platform = spec.to_platform();
-    if let Some(cap) = cap {
-        platform = platform.with_memory_cap(cap);
+        Ok(true)
     }
-    platform.validate().map_err(CliError::sched)?;
-    Ok(platform)
+
+    /// Builds the platform of a command from `-p`/`--cap` and these flags
+    /// and validates it (typed platform errors map to exit 1). The flag
+    /// syntax is parsed by [`Platform::parse_flags`], which campaign specs
+    /// use for the same spellings; its typed
+    /// [`treesched_core::PlatformParseError`] renders here as the usage
+    /// message.
+    fn platform(&self, p: Option<u32>, cap: Option<f64>) -> Result<Platform, CliError> {
+        if cap.is_some() && self.domains.is_some() {
+            return Err(CliError::new(
+                "--cap and --domains cannot be combined (--cap is the single shared domain)",
+            ));
+        }
+        let parse = |speeds: &str| {
+            Platform::parse_flags(speeds, self.domains, self.comm)
+                .map_err(|e| CliError::new(e.to_string()))
+        };
+        let mut platform = match self.speeds {
+            Some(s) => {
+                let platform = parse(s)?;
+                let total = platform.processors();
+                if let Some(p) = p.filter(|&p| p != total) {
+                    return Err(CliError::new(format!(
+                        "-p {p} contradicts --speeds ({total} processors)"
+                    )));
+                }
+                platform
+            }
+            None => {
+                let p = p.ok_or_else(|| CliError::new("need -p N (or --speeds)"))?;
+                if self.domains.is_some() || self.comm.is_some() {
+                    // flat processors with explicit domains: same parser, one
+                    // implicit unit-speed class (a comm matrix without domains
+                    // is its typed out-of-range error)
+                    parse(&format!("{p}x1"))?
+                } else {
+                    Platform::new(p)
+                }
+            }
+        };
+        if let Some(cap) = cap {
+            platform = platform.with_memory_cap(cap);
+        }
+        platform.validate().map_err(CliError::sched)?;
+        Ok(platform)
+    }
 }
 
 /// One-line human rendering of a non-flat platform for the text output.
 fn platform_text(platform: &Platform) -> String {
-    let classes: Vec<String> = platform
-        .classes()
-        .iter()
-        .map(|c| format!("{}x{}", c.count, c.speed))
-        .collect();
-    let mut s = format!("speeds {}", classes.join(" + "));
-    if !platform.domains().is_empty() {
-        let domains: Vec<String> = platform
-            .domains()
-            .iter()
-            .map(|d| {
-                let ids: Vec<String> = d.classes.iter().map(|c| c.to_string()).collect();
-                format!("{}@{}", d.capacity, ids.join("+"))
-            })
-            .collect();
-        let _ = write!(s, "; domains {}", domains.join(", "));
+    let (speeds, domains, comm) = platform.flag_strings();
+    let mut s = format!("speeds {}", speeds.replace(',', " + "));
+    if let Some(domains) = domains {
+        let _ = write!(s, "; domains {}", domains.replace(',', ", "));
     }
-    if platform.has_comm() {
-        let d = platform.domains().len();
-        let mut costs: Vec<String> = Vec::new();
-        for src in 0..d {
-            for dst in src + 1..d {
-                let c = platform.comm_cost(src, dst);
-                if c != 0.0 {
-                    costs.push(format!("{src}-{dst}:{c}"));
-                }
-            }
-        }
-        let _ = write!(s, "; comm {}", costs.join(", "));
+    if let Some(comm) = comm {
+        let _ = write!(s, "; comm {}", comm.replace(',', ", "));
     }
     s
 }
@@ -487,12 +523,13 @@ fn cmd_schedule(args: &[String]) -> Result<String, CliError> {
     let mut show_placements = false;
     let mut json = false;
     let mut cap: Option<f64> = None;
-    let mut speeds: Option<&String> = None;
-    let mut domains: Option<&String> = None;
-    let mut comm: Option<&String> = None;
+    let mut flags = PlatformFlags::new(&["--speeds", "--domains", "--comm"], "N");
     let mut ingest = treesched_trees::IngestOptions::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if flags.read(a, &mut it)? {
+            continue;
+        }
         match a.as_str() {
             "-p" => {
                 p = Some(parse_num(
@@ -548,30 +585,12 @@ fn cmd_schedule(args: &[String]) -> Result<String, CliError> {
                     "cap",
                 )?);
             }
-            "--speeds" => {
-                speeds = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::new("--speeds needs COUNTxSPEED entries"))?,
-                );
-            }
-            "--domains" => {
-                domains = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::new("--domains needs CAP@CLASSES entries"))?,
-                );
-            }
-            "--comm" => {
-                comm = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::new("--comm needs SRC-DST:COST entries"))?,
-                );
-            }
             other if path.is_none() && !other.starts_with('-') => path = Some(a),
             other => return Err(CliError::new(format!("unexpected argument `{other}`"))),
         }
     }
     let path = path.ok_or_else(|| CliError::new("schedule needs a tree file"))?;
-    if p.is_none() && speeds.is_none() {
+    if p.is_none() && flags.speeds.is_none() {
         return Err(CliError::new("schedule needs -p N (or --speeds)"));
     }
     if json && (show_gantt || show_profile || show_placements) {
@@ -592,13 +611,7 @@ fn cmd_schedule(args: &[String]) -> Result<String, CliError> {
     let (tree, _format) =
         treesched_trees::load(path, ingest).map_err(|e| CliError::new(e.to_string()))?;
 
-    let platform = build_platform(
-        p,
-        speeds.map(|s| s.as_str()),
-        domains.map(|s| s.as_str()),
-        comm.map(|s| s.as_str()),
-        cap,
-    )?;
+    let platform = flags.platform(p, cap)?;
     // scheduler selection: explicit name wins, otherwise a default that
     // can actually serve the platform (see `default_scheduler`)
     let registry = SchedulerRegistry::standard();
@@ -640,7 +653,10 @@ fn cmd_schedule(args: &[String]) -> Result<String, CliError> {
 
     let mut out = String::new();
     if let Some(violations) = outcome.diagnostics.cap_violations {
-        let cap = platform.memory_cap().expect("cap schedulers require a cap");
+        // per-domain capacities are listed with the domain peaks below
+        let cap = platform
+            .memory_cap()
+            .map_or_else(|| "per domain".to_string(), |cap| cap.to_string());
         let _ = writeln!(
             out,
             "memory-capped schedule (cap {cap}): {violations} violation(s)"
@@ -762,10 +778,7 @@ fn cmd_schedulers(args: &[String]) -> Result<String, CliError> {
 /// requests that carry neither `processors` nor a `platform` object.
 fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     let mut path: Option<&String> = None;
-    let mut workers: usize = 1;
-    let mut speeds: Option<&String> = None;
-    let mut domains: Option<&String> = None;
-    let mut comm: Option<&String> = None;
+    let mut flags = PlatformFlags::new(&["--speeds", "--domains", "--comm", "--workers"], "N");
     let mut listen: Option<&String> = None;
     let mut stdio = false;
     let mut accept: Option<u64> = None;
@@ -774,22 +787,15 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     let mut metrics_out: Option<&String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if flags.read(a, &mut it)? {
+            continue;
+        }
         match a.as_str() {
             "--metrics-out" => {
                 metrics_out = Some(
                     it.next()
                         .ok_or_else(|| CliError::new("--metrics-out needs a PATH"))?,
                 );
-            }
-            "--workers" => {
-                workers = parse_num(
-                    it.next()
-                        .ok_or_else(|| CliError::new("--workers needs N"))?,
-                    "N",
-                )?;
-                if workers == 0 {
-                    return Err(CliError::new("--workers needs at least 1"));
-                }
             }
             "--listen" => {
                 listen = Some(
@@ -816,29 +822,12 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
                 inflight = Some(n);
             }
             "--overload" => overload = true,
-            "--speeds" => {
-                speeds = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::new("--speeds needs COUNTxSPEED entries"))?,
-                );
-            }
-            "--domains" => {
-                domains = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::new("--domains needs CAP@CLASSES entries"))?,
-                );
-            }
-            "--comm" => {
-                comm = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::new("--comm needs SRC-DST:COST entries"))?,
-                );
-            }
             other if path.is_none() && (other == "-" || !other.starts_with('-')) => path = Some(a),
             other => return Err(CliError::new(format!("unexpected argument `{other}`"))),
         }
     }
-    let default_platform = match (speeds, domains, comm) {
+    let workers = flags.workers.unwrap_or(1);
+    let default_platform = match (flags.speeds, flags.domains, flags.comm) {
         (None, None, None) => None,
         (None, Some(_), _) => {
             return Err(CliError::new("serve --domains needs --speeds"));
@@ -846,13 +835,7 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         (None, None, Some(_)) => {
             return Err(CliError::new("serve --comm needs --speeds and --domains"));
         }
-        (Some(_), _, _) => Some(build_platform(
-            None,
-            speeds.map(|s| s.as_str()),
-            domains.map(|s| s.as_str()),
-            comm.map(|s| s.as_str()),
-            None,
-        )?),
+        (Some(_), _, _) => Some(flags.platform(None, None)?),
     };
     if listen.is_some() || stdio {
         if listen.is_some() && stdio {
@@ -1053,10 +1036,12 @@ fn cmd_pareto(args: &[String]) -> Result<String, CliError> {
     let mut path: Option<&String> = None;
     let mut p: Option<u32> = None;
     let mut json = false;
-    let mut speeds: Option<&String> = None;
-    let mut domains: Option<&String> = None;
+    let mut flags = PlatformFlags::new(&["--speeds", "--domains"], "N");
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if flags.read(a, &mut it)? {
+            continue;
+        }
         match a.as_str() {
             "-p" => {
                 p = Some(parse_num(
@@ -1065,33 +1050,15 @@ fn cmd_pareto(args: &[String]) -> Result<String, CliError> {
                 )?)
             }
             "--json" => json = true,
-            "--speeds" => {
-                speeds = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::new("--speeds needs COUNTxSPEED entries"))?,
-                );
-            }
-            "--domains" => {
-                domains = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::new("--domains needs CAP@CLASSES entries"))?,
-                );
-            }
             other if path.is_none() && !other.starts_with('-') => path = Some(a),
             _ => return Err(CliError::new(PARETO_USAGE)),
         }
     }
     let path = path.ok_or_else(|| CliError::new(PARETO_USAGE))?;
-    if p.is_none() && speeds.is_none() {
+    if p.is_none() && flags.speeds.is_none() {
         return Err(CliError::new(PARETO_USAGE));
     }
-    let platform = build_platform(
-        p,
-        speeds.map(|s| s.as_str()),
-        domains.map(|s| s.as_str()),
-        None,
-        None,
-    )?;
+    let platform = flags.platform(p, None)?;
     // the exact solver enumerates unit-time steps over one shared memory;
     // it accepts any platform spelling of that machine and refuses the rest
     if platform.uniform_speed() != Some(1.0) {
@@ -1217,13 +1184,11 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
     let mut procs: Vec<u32> = Vec::new();
     let mut schedulers: Option<Vec<String>> = None;
     let mut cap_factor: Option<f64> = None;
-    let mut speeds: Option<&String> = None;
-    let mut domains: Option<&String> = None;
-    let mut comm: Option<&String> = None;
+    let mut flags =
+        PlatformFlags::new(&["--speeds", "--domains", "--comm", "--workers"], "workers");
     let mut seqs: Option<Vec<SeqAlgo>> = None;
     let mut seed: Option<u64> = None;
     let mut metrics: Vec<treesched_core::Metric> = Vec::new();
-    let mut workers: Option<usize> = None;
     let mut time_reps: Option<u32> = None;
     let mut compare: Option<(String, String)> = None;
     let mut tolerance: Option<f64> = None;
@@ -1234,6 +1199,9 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         given.push(a.as_str());
+        if flags.read(a, &mut it)? {
+            continue;
+        }
         let mut value = |what: &str| -> Result<&String, CliError> {
             it.next()
                 .ok_or_else(|| CliError::new(format!("{a} needs {what}")))
@@ -1253,13 +1221,6 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
                         names.join(", ")
                     ))
                 })?);
-            }
-            "--workers" => {
-                let w: usize = parse_num(value("N")?, "workers")?;
-                if w == 0 {
-                    return Err(CliError::new("--workers needs at least 1"));
-                }
-                workers = Some(w);
             }
             "--name" => name = Some(value("a name")?.as_str()),
             "--scale" => {
@@ -1308,15 +1269,6 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
                     ));
                 }
                 cap_factor = Some(f);
-            }
-            "--speeds" => {
-                speeds = Some(value("COUNTxSPEED entries")?);
-            }
-            "--domains" => {
-                domains = Some(value("CAP@CLASSES entries")?);
-            }
-            "--comm" => {
-                comm = Some(value("SRC-DST:COST entries")?);
             }
             "--seq" => {
                 let parsed: Option<Vec<SeqAlgo>> = value("algorithm names")?
@@ -1390,13 +1342,13 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
         if scale.is_none() && trees.is_empty() && trees_file.is_empty() {
             scale = Some(treesched_gen::Scale::Medium);
         }
-        if procs.is_empty() && speeds.is_none() {
+        if procs.is_empty() && flags.speeds.is_none() {
             procs = treesched_bench::PAPER_PROCS.to_vec();
         }
         name = Some(preset.name);
     }
     if let Some((old_path, new_path)) = compare {
-        if spec_file.is_some() || grid_flags || workers.is_some() {
+        if spec_file.is_some() || grid_flags || flags.workers.is_some() {
             return Err(CliError::new(
                 "--compare runs no campaign; only --tolerance combines with it",
             ));
@@ -1472,15 +1424,11 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
                 }
                 spec.platforms.push(point);
             }
-            match (speeds, domains) {
+            match (flags.speeds, flags.domains) {
                 (Some(speeds), domains) => {
-                    let parsed = PlatformSpec::parse_flags(
-                        speeds,
-                        domains.map(|s| s.as_str()),
-                        comm.map(|s| s.as_str()),
-                    )
-                    .map_err(|e| CliError::new(e.to_string()))?;
-                    let mut point = PlatformPoint::from_spec(parsed);
+                    let parsed = Platform::parse_flags(speeds, domains, flags.comm)
+                        .map_err(|e| CliError::new(e.to_string()))?;
+                    let mut point = PlatformPoint::new(parsed);
                     if let Some(factor) = cap_factor {
                         point = point.with_cap_factor(factor);
                     }
@@ -1488,7 +1436,7 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
                 }
                 (None, Some(_)) => return Err(CliError::new("--domains needs --speeds")),
                 (None, None) => {
-                    if comm.is_some() {
+                    if flags.comm.is_some() {
                         return Err(CliError::new("--comm needs --speeds and --domains"));
                     }
                 }
@@ -1515,7 +1463,8 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
             spec
         }
     };
-    let workers = workers
+    let workers = flags
+        .workers
         .or(spec.workers)
         .unwrap_or_else(treesched_bench::default_workers);
     if let Some(preset) = preset {
@@ -1894,6 +1843,23 @@ mod tests {
             "{json}"
         );
         assert!(json.contains("\"domain_peaks\":["), "{json}");
+
+        // the default scheduler for split memory is the capped one, whose
+        // text report names per-domain caps instead of one shared cap
+        let out = run(&[
+            "schedule",
+            &f,
+            "--speeds",
+            "2x2.0,2x1.0",
+            "--domains",
+            "64@0,32@1",
+        ])
+        .unwrap();
+        assert!(
+            out.contains("memory-capped schedule (cap per domain): 0 violation(s)"),
+            "{out}"
+        );
+        assert!(out.contains("domain 1: "), "{out}");
     }
 
     #[test]
@@ -2209,6 +2175,13 @@ mod tests {
     fn serve_rejects_bad_flags() {
         assert!(run(&["serve", "--workers"]).is_err());
         assert!(run(&["serve", "x.jsonl", "--workers", "0"]).is_err());
+        // one OS thread per worker: absurd counts are usage errors, caught
+        // before any engine or daemon starts
+        for mode in ["x.jsonl", "--stdio"] {
+            let e = run(&["serve", mode, "--workers", "257"]).unwrap_err();
+            assert_eq!(e.code, 2);
+            assert!(e.message.contains("at most 256"), "{}", e.message);
+        }
         assert!(run(&["serve", "x.jsonl", "--bogus"]).is_err());
         assert!(run(&["serve", "/nonexistent/x.jsonl"]).is_err());
     }
@@ -2455,6 +2428,7 @@ mod tests {
             ("--seq", "fast"),
             ("--seed", "x"),
             ("--workers", "x"),
+            ("--workers", "257"),
         ] {
             let e = run(&["campaign", "--trees", &f, "--procs", "2", flag, value]).unwrap_err();
             assert_eq!(e.code, 2, "{flag} {value}");

@@ -15,7 +15,7 @@
 
 use std::process::{Command, Output};
 use treesched_bench::{CampaignRunner, CampaignSpec, PlatformPoint};
-use treesched_core::{Metric, PlatformSpec, SeqAlgo};
+use treesched_core::{Metric, Platform, SeqAlgo};
 use treesched_model::TaskTree;
 
 fn campaign(args: &[&str]) -> Output {
@@ -184,11 +184,11 @@ fn pinned_spec() -> CampaignSpec {
         .with_tree("chain", TaskTree::chain(15, 2.0, 1.0, 0.5))
         .with_procs(&[2, 4])
         .with_platform(PlatformPoint::flat(4).with_cap_factor(1.5))
-        .with_platform(PlatformPoint::from_spec(
-            PlatformSpec::parse_flags("2x2.0,2x1.0", Some("1e9@0,1e9@1"), None).unwrap(),
+        .with_platform(PlatformPoint::new(
+            Platform::parse_flags("2x2.0,2x1.0", Some("1e9@0,1e9@1"), None).unwrap(),
         ))
-        .with_platform(PlatformPoint::from_spec(
-            PlatformSpec::parse_flags("2x2.0,2x1.0", Some("1e9@0,1e9@1"), Some("0-1:2")).unwrap(),
+        .with_platform(PlatformPoint::new(
+            Platform::parse_flags("2x2.0,2x1.0", Some("1e9@0,1e9@1"), Some("0-1:2")).unwrap(),
         ))
         .with_schedulers(vec![
             "subtrees".into(),

@@ -159,8 +159,7 @@ fn check_round_trip(input: &str) {
             continue;
         }
         let req = treesched_serve::RequestRecord::parse(req_line).expect("fixture parses");
-        if let Some(spec) = req.platform {
-            let requested = spec.to_platform();
+        if let Some(requested) = req.platform {
             if !requested.is_flat() {
                 let echoed = resp
                     .iter()

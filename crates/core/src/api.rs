@@ -55,6 +55,11 @@ use treesched_model::{NodeId, TaskTree};
 pub enum SchedError {
     /// The platform has `processors == 0`.
     NoProcessors,
+    /// The platform has more than [`Platform::MAX_PROCESSORS`] processors.
+    TooManyProcessors {
+        /// The requested processor total.
+        processors: u64,
+    },
     /// The task tree holds no tasks.
     EmptyTree,
     /// A memory cap or domain capacity is NaN or negative.
@@ -164,6 +169,11 @@ impl std::fmt::Display for SchedError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SchedError::NoProcessors => write!(f, "platform needs at least one processor"),
+            SchedError::TooManyProcessors { processors } => write!(
+                f,
+                "platform has {processors} processors, more than the supported {}",
+                Platform::MAX_PROCESSORS
+            ),
             SchedError::EmptyTree => write!(f, "cannot schedule an empty task tree"),
             SchedError::InvalidMemoryCap { cap } => {
                 write!(
@@ -322,72 +332,63 @@ pub struct Platform {
 }
 
 impl Platform {
-    /// The fluent way to describe a platform: start empty, add
-    /// [`classes`](PlatformBuilder::classes) /
-    /// [`domain`](PlatformBuilder::domain) /
-    /// [`memory_cap`](PlatformBuilder::memory_cap) /
-    /// [`comm`](PlatformBuilder::comm), then
-    /// [`build`](PlatformBuilder::build) — which runs
-    /// [`Platform::validate`] so an ill-formed description is a typed
-    /// [`SchedError`] at construction time, not a surprise mid-campaign.
-    pub fn builder() -> PlatformBuilder {
-        PlatformBuilder::default()
-    }
-
-    /// Decomposes the platform back into a builder, e.g. to attach domains
-    /// or communication costs to an existing machine description.
-    pub fn into_builder(self) -> PlatformBuilder {
-        PlatformBuilder {
-            classes: self.classes,
-            domains: self.domains,
-            shared_cap: None,
-            comm: self.comm,
-            comm_entries: Vec::new(),
-        }
-    }
+    /// The most processors [`Platform::validate`] accepts. Schedulers and
+    /// the evaluator allocate per-processor state, so an absurd processor
+    /// count would be an allocation failure rather than an error; the
+    /// corpus and the tests use at most 32.
+    pub const MAX_PROCESSORS: u32 = 1 << 16;
 
     /// An uncapped platform with `processors` identical unit-speed
-    /// processors — the paper's machine. Thin wrapper over
-    /// [`Platform::builder`]; prefer `builder()` for anything richer.
+    /// processors — the paper's machine.
     pub fn new(processors: u32) -> Platform {
-        Platform::builder()
-            .classes([ProcClass::new(processors, 1.0)])
-            .assemble()
+        Platform::heterogeneous(vec![ProcClass::new(processors, 1.0)])
     }
 
     /// A platform from explicit processor classes, with unbounded memory.
-    /// Thin wrapper over [`Platform::builder`]; prefer `builder()` for
-    /// anything richer.
     pub fn heterogeneous(classes: Vec<ProcClass>) -> Platform {
-        Platform::builder().classes(classes).assemble()
+        Platform {
+            classes,
+            domains: Vec::new(),
+            comm: Vec::new(),
+        }
     }
 
     /// Returns the platform with a single shared-memory cap over **all**
     /// classes, replacing any previously declared domains (and dropping any
-    /// communication-cost matrix, which was indexed by them). Thin wrapper
-    /// over [`Platform::builder`]; prefer `builder()` for anything richer.
-    pub fn with_memory_cap(self, cap: f64) -> Platform {
-        self.into_builder().memory_cap(cap).assemble()
+    /// communication-cost matrix, which was indexed by them).
+    pub fn with_memory_cap(mut self, cap: f64) -> Platform {
+        self.domains = vec![MemDomain {
+            capacity: cap,
+            classes: (0..self.classes.len()).collect(),
+        }];
+        self.comm = Vec::new();
+        self
     }
 
     /// Returns the platform with an additional memory domain of `capacity`
-    /// over the given class indices. Thin wrapper over
-    /// [`Platform::builder`]; prefer `builder()` for anything richer.
-    pub fn with_domain(self, capacity: f64, classes: &[usize]) -> Platform {
-        self.into_builder().domain(capacity, classes).assemble()
+    /// over the given class indices.
+    pub fn with_domain(mut self, capacity: f64, classes: &[usize]) -> Platform {
+        self.domains.push(MemDomain {
+            capacity,
+            classes: classes.to_vec(),
+        });
+        self
     }
 
     /// Returns the platform with the given flattened `domains × domains`
-    /// row-major transfer-cost matrix (see [`Platform::comm_cost`]). Thin
-    /// wrapper over [`Platform::builder`]; prefer `builder()` for anything
-    /// richer.
-    pub fn with_comm(self, comm: Vec<f64>) -> Platform {
-        self.into_builder().comm(comm).assemble()
+    /// row-major transfer-cost matrix (see [`Platform::comm_cost`]).
+    pub fn with_comm(mut self, comm: Vec<f64>) -> Platform {
+        self.comm = comm;
+        self
     }
 
-    /// Total processor count across all classes.
+    /// Total processor count across all classes, saturating at
+    /// `u32::MAX` ([`Platform::validate`] rejects totals above
+    /// [`Platform::MAX_PROCESSORS`]).
     pub fn processors(&self) -> u32 {
-        self.classes.iter().map(|c| c.count).sum()
+        self.classes
+            .iter()
+            .fold(0u32, |total, c| total.saturating_add(c.count))
     }
 
     /// The processor classes.
@@ -527,15 +528,19 @@ impl Platform {
         }
     }
 
-    /// Checks the platform invariants: at least one processor, finite
-    /// positive speeds, non-empty classes, and well-formed domains
-    /// (finite non-negative capacity — "unbounded" is spelled by *absence*
-    /// of a domain, and a non-finite capacity would corrupt the JSON wire
-    /// records — at least one class each, no class in two domains, no
-    /// dangling class index).
+    /// Checks the platform invariants: between one and
+    /// [`Platform::MAX_PROCESSORS`] processors, finite positive speeds,
+    /// non-empty classes, and well-formed domains (finite non-negative
+    /// capacity — "unbounded" is spelled by *absence* of a domain, and a
+    /// non-finite capacity would corrupt the JSON wire records — at least
+    /// one class each, no class in two domains, no dangling class index).
     pub fn validate(&self) -> Result<(), SchedError> {
-        if self.processors() == 0 {
+        let total: u64 = self.classes.iter().map(|c| u64::from(c.count)).sum();
+        if total == 0 {
             return Err(SchedError::NoProcessors);
+        }
+        if total > u64::from(Platform::MAX_PROCESSORS) {
+            return Err(SchedError::TooManyProcessors { processors: total });
         }
         for (k, c) in self.classes.iter().enumerate() {
             if c.count == 0 {
@@ -603,133 +608,6 @@ impl Platform {
     }
 }
 
-/// Fluent, validating constructor for [`Platform`] — the one front door for
-/// every platform shape (flat, mixed-speed, NUMA domains, communication
-/// costs). [`PlatformBuilder::build`] runs [`Platform::validate`], so the
-/// result is either a well-formed machine or a typed [`SchedError`]:
-///
-/// ```
-/// use treesched_core::api::{Platform, ProcClass};
-///
-/// let platform = Platform::builder()
-///     .classes([ProcClass::new(2, 2.0), ProcClass::new(2, 1.0)])
-///     .domain(64.0, &[0])
-///     .domain(64.0, &[1])
-///     .comm_cost(0, 1, 0.5)
-///     .build()
-///     .unwrap();
-/// assert_eq!(platform.processors(), 4);
-/// assert_eq!(platform.comm_cost(1, 0), 0.5); // symmetric
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct PlatformBuilder {
-    classes: Vec<ProcClass>,
-    domains: Vec<MemDomain>,
-    shared_cap: Option<f64>,
-    comm: Vec<f64>,
-    comm_entries: Vec<(usize, usize, f64)>,
-}
-
-impl PlatformBuilder {
-    /// Sets the processor classes, replacing any set before.
-    pub fn classes(mut self, classes: impl IntoIterator<Item = ProcClass>) -> PlatformBuilder {
-        self.classes = classes.into_iter().collect();
-        self
-    }
-
-    /// Appends one class of `count` processors at `speed`.
-    pub fn class(mut self, count: u32, speed: f64) -> PlatformBuilder {
-        self.classes.push(ProcClass::new(count, speed));
-        self
-    }
-
-    /// Appends a memory domain of `capacity` over the given class indices.
-    pub fn domain(mut self, capacity: f64, classes: &[usize]) -> PlatformBuilder {
-        self.domains.push(MemDomain {
-            capacity,
-            classes: classes.to_vec(),
-        });
-        self
-    }
-
-    /// One shared-memory cap over **all** classes — the paper's single
-    /// memory. Replaces any domains declared before or after (applied at
-    /// build time) and drops any comm matrix, which was indexed by them.
-    pub fn memory_cap(mut self, cap: f64) -> PlatformBuilder {
-        self.shared_cap = Some(cap);
-        self.comm = Vec::new();
-        self.comm_entries = Vec::new();
-        self
-    }
-
-    /// Sets the full flattened `domains × domains` row-major transfer-cost
-    /// matrix, replacing any matrix or per-pair entries set before.
-    pub fn comm(mut self, matrix: Vec<f64>) -> PlatformBuilder {
-        self.comm = matrix;
-        self.comm_entries = Vec::new();
-        self
-    }
-
-    /// Sets one symmetric transfer cost between domains `src` and `dst`
-    /// (applied at build time over a zero matrix, or over a matrix given to
-    /// [`PlatformBuilder::comm`]). Unset pairs stay at zero.
-    pub fn comm_cost(mut self, src: usize, dst: usize, cost: f64) -> PlatformBuilder {
-        self.comm_entries.push((src, dst, cost));
-        self
-    }
-
-    /// Assembles the platform without validating — the escape hatch behind
-    /// the legacy infallible constructors, which historically deferred
-    /// invariant checking to [`Request::validate`]. Per-pair
-    /// [`PlatformBuilder::comm_cost`] entries that reference a domain the
-    /// builder never declared are dropped here (build() reports them).
-    fn assemble(self) -> Platform {
-        let domains = match self.shared_cap {
-            Some(cap) => vec![MemDomain {
-                capacity: cap,
-                classes: (0..self.classes.len()).collect(),
-            }],
-            None => self.domains,
-        };
-        let d = domains.len();
-        let mut comm = self.comm;
-        if !self.comm_entries.is_empty() {
-            if comm.is_empty() {
-                comm = vec![0.0; d * d];
-            }
-            for &(src, dst, cost) in &self.comm_entries {
-                if src < d && dst < d && comm.len() == d * d {
-                    comm[src * d + dst] = cost;
-                    comm[dst * d + src] = cost;
-                }
-            }
-        }
-        Platform {
-            classes: self.classes,
-            domains,
-            comm,
-        }
-    }
-
-    /// Builds and validates the platform. A per-pair
-    /// [`PlatformBuilder::comm_cost`] referencing a domain index the builder
-    /// never declared is reported as [`SchedError::InvalidCommMatrix`].
-    pub fn build(self) -> Result<Platform, SchedError> {
-        let d = match self.shared_cap {
-            Some(_) => 1,
-            None => self.domains.len(),
-        };
-        if self.comm_entries.iter().any(|&(s, t, _)| s >= d || t >= d) {
-            return Err(SchedError::InvalidCommMatrix {
-                reason: "a comm entry references a domain that was never declared",
-            });
-        }
-        let platform = self.assemble();
-        platform.validate()?;
-        Ok(platform)
-    }
-}
-
 /// Which platform flag a [`PlatformParseError`] came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlatformFlag {
@@ -752,7 +630,7 @@ impl PlatformFlag {
     }
 }
 
-/// Typed parse error of [`PlatformSpec::parse_flags`]: which flag, which
+/// Typed parse error of [`Platform::parse_flags`]: which flag, which
 /// comma-separated entry (0-based), and what went wrong. `Display` renders
 /// the exact messages the CLI has always printed, so front-ends keep their
 /// wording by mapping through `to_string()`.
@@ -853,66 +731,40 @@ impl PlatformParseError {
     }
 }
 
-/// A declarative, not-yet-validated platform description — the parsed form
-/// of the CLI's `--speeds COUNTxSPEED,..` / `--domains CAP@CLASSES,..` /
-/// `--comm SRC-DST:COST,..` flags, shared by every front-end that spells
-/// platforms as text (the `treesched` CLI, campaign specs, JSON spec files).
-///
-/// Unlike [`Platform`] itself, a spec is cheap to build from user input and
-/// keeps parse errors (typed [`PlatformParseError`], pointing at the
-/// offending flag, entry, and token) separate from the typed invariant
-/// errors of [`Platform::validate`]:
-///
-/// ```
-/// use treesched_core::api::PlatformSpec;
-///
-/// let spec =
-///     PlatformSpec::parse_flags("2x2.0,2x1.0", Some("64@0,32@1"), Some("0-1:0.5")).unwrap();
-/// let platform = spec.to_platform();
-/// assert_eq!(platform.processors(), 4);
-/// assert_eq!(platform.domains().len(), 2);
-/// assert_eq!(platform.comm_cost(0, 1), 0.5);
-/// assert!(platform.validate().is_ok());
-/// ```
-#[derive(Clone, Debug, PartialEq)]
-pub struct PlatformSpec {
-    /// Processor classes, in declaration order.
-    pub classes: Vec<ProcClass>,
-    /// Memory domains as `(capacity, class indices)` pairs.
-    pub domains: Vec<(f64, Vec<usize>)>,
-    /// Symmetric cross-domain transfer costs as `(src, dst, cost)` entries
-    /// (empty = free communication).
-    pub comm: Vec<(usize, usize, f64)>,
-}
-
-impl PlatformSpec {
-    /// The paper's flat machine: `processors` unit-speed processors,
-    /// unbounded shared memory.
-    pub fn flat(processors: u32) -> PlatformSpec {
-        PlatformSpec {
-            classes: vec![ProcClass::new(processors, 1.0)],
-            domains: Vec::new(),
-            comm: Vec::new(),
-        }
-    }
-
-    /// Parses the CLI flag syntax: `speeds` is a comma-separated list of
-    /// `COUNTxSPEED` processor classes (`2x2.0,2x1.0`; a bare `SPEED` means
-    /// one processor), `domains` an optional comma-separated list of
+impl Platform {
+    /// Parses the CLI flag syntax shared by every front-end that spells
+    /// platforms as text (the `treesched` CLI, campaign specs, JSON spec
+    /// files): `speeds` is a comma-separated list of `COUNTxSPEED`
+    /// processor classes (`2x2.0,2x1.0`; a bare `SPEED` means one
+    /// processor), `domains` an optional comma-separated list of
     /// `CAP@CLASSES` memory domains with `+`-joined class indices
     /// (`64@0,32@1+2`; a bare `CAP` covers every class), and `comm` an
     /// optional comma-separated list of `SRC-DST:COST` symmetric
-    /// cross-domain transfer costs (`0-1:2,0-2:0.5`). Parse errors only —
-    /// invariant checking (positive speeds, domain shapes, matrix
-    /// well-formedness) stays with [`Platform::validate`] on the built
-    /// platform; the one semantic check done here is that `comm` entries
-    /// reference declared domains, because only the spec still knows the
-    /// flag that declared them.
+    /// cross-domain transfer costs (`0-1:2,0-2:0.5`; unlisted pairs cost
+    /// 0). Parse errors only, typed and pointing at the offending flag,
+    /// entry and token — invariant checking (positive speeds, domain
+    /// shapes) stays with [`Platform::validate`]; the one semantic check
+    /// done here is that `comm` entries reference declared domains,
+    /// because only the parser still knows the flag that declared them.
+    ///
+    /// ```
+    /// use treesched_core::api::Platform;
+    ///
+    /// let platform =
+    ///     Platform::parse_flags("2x2.0,2x1.0", Some("64@0,32@1"), Some("1-0:0.5")).unwrap();
+    /// assert_eq!(platform.processors(), 4);
+    /// assert_eq!(platform.comm_cost(0, 1), 0.5); // symmetric
+    /// assert!(platform.validate().is_ok());
+    /// let (speeds, domains, comm) = platform.flag_strings();
+    /// assert_eq!(speeds, "2x2,2x1");
+    /// assert_eq!(domains.as_deref(), Some("64@0,32@1"));
+    /// assert_eq!(comm.as_deref(), Some("0-1:0.5"));
+    /// ```
     pub fn parse_flags(
         speeds: &str,
         domains: Option<&str>,
         comm: Option<&str>,
-    ) -> Result<PlatformSpec, PlatformParseError> {
+    ) -> Result<Platform, PlatformParseError> {
         fn num<T: std::str::FromStr>(
             s: &str,
             flag: PlatformFlag,
@@ -944,7 +796,7 @@ impl PlatformSpec {
             };
             classes.push(class);
         }
-        let mut parsed_domains = Vec::new();
+        let mut platform = Platform::heterogeneous(classes);
         if let Some(domains) = domains {
             for (k, entry) in domains.split(',').enumerate() {
                 let entry = entry.trim();
@@ -967,16 +819,17 @@ impl PlatformSpec {
                         }
                         (cap.trim(), ids)
                     }
-                    None => (entry, (0..classes.len()).collect()),
+                    None => (entry, (0..platform.classes.len()).collect()),
                 };
-                parsed_domains.push((
-                    num(cap, PlatformFlag::Domains, "--domains capacity", k)?,
-                    ids,
-                ));
+                platform.domains.push(MemDomain {
+                    capacity: num(cap, PlatformFlag::Domains, "--domains capacity", k)?,
+                    classes: ids,
+                });
             }
         }
-        let mut parsed_comm = Vec::new();
         if let Some(comm) = comm {
+            let d = platform.domains.len();
+            let mut matrix = vec![0.0; d * d];
             for (k, entry) in comm.split(',').enumerate() {
                 let entry = entry.trim();
                 if entry.is_empty() {
@@ -985,93 +838,63 @@ impl PlatformSpec {
                         entry: k,
                     });
                 }
-                let (pair, cost) = entry.split_once(':').ok_or_else(|| {
-                    PlatformParseError::MalformedCommEntry {
-                        token: entry.to_string(),
-                        entry: k,
-                    }
-                })?;
-                let (src, dst) =
-                    pair.split_once('-')
-                        .ok_or_else(|| PlatformParseError::MalformedCommEntry {
-                            token: entry.to_string(),
-                            entry: k,
-                        })?;
+                let malformed = || PlatformParseError::MalformedCommEntry {
+                    token: entry.to_string(),
+                    entry: k,
+                };
+                let (pair, cost) = entry.split_once(':').ok_or_else(malformed)?;
+                let (src, dst) = pair.split_once('-').ok_or_else(malformed)?;
                 let src: usize = num(src.trim(), PlatformFlag::Comm, "--comm domain index", k)?;
                 let dst: usize = num(dst.trim(), PlatformFlag::Comm, "--comm domain index", k)?;
                 let cost: f64 = num(cost.trim(), PlatformFlag::Comm, "--comm cost", k)?;
                 for index in [src, dst] {
-                    if index >= parsed_domains.len() {
+                    if index >= d {
                         return Err(PlatformParseError::CommDomainOutOfRange {
                             index,
-                            domains: parsed_domains.len(),
+                            domains: d,
                             entry: k,
                         });
                     }
                 }
-                parsed_comm.push((src, dst, cost));
+                matrix[src * d + dst] = cost;
+                matrix[dst * d + src] = cost;
             }
+            platform.comm = matrix;
         }
-        Ok(PlatformSpec {
-            classes,
-            domains: parsed_domains,
-            comm: parsed_comm,
-        })
+        Ok(platform)
     }
 
-    /// Total processor count across all classes.
-    pub fn processors(&self) -> u32 {
-        self.classes.iter().map(|c| c.count).sum()
-    }
-
-    /// Builds the described [`Platform`] (not yet validated).
-    pub fn to_platform(&self) -> Platform {
-        let mut builder = Platform::builder().classes(self.classes.iter().copied());
-        for (capacity, classes) in &self.domains {
-            builder = builder.domain(*capacity, classes);
-        }
-        for &(src, dst, cost) in &self.comm {
-            builder = builder.comm_cost(src, dst, cost);
-        }
-        builder.assemble()
-    }
-
-    /// Renders the spec back in the flag syntax (`speeds`, `domains`,
-    /// `comm`) suitable for labels and flag round trips. The domains and
-    /// comm strings are `None` when the spec declares none.
+    /// Renders the platform in the flag syntax [`Platform::parse_flags`]
+    /// reads, for labels and flag round trips: `(speeds, domains, comm)`,
+    /// the last two `None` when the platform declares no domains or no
+    /// non-zero transfer cost. Each domain pair's cost is listed once,
+    /// lower index first, so `0-1:2` and `1-0:2` render alike.
     pub fn flag_strings(&self) -> (String, Option<String>, Option<String>) {
-        let speeds = self
+        let speeds: Vec<String> = self
             .classes
             .iter()
             .map(|c| format!("{}x{}", c.count, c.speed))
-            .collect::<Vec<_>>()
-            .join(",");
-        let domains = if self.domains.is_empty() {
-            None
-        } else {
-            Some(
-                self.domains
-                    .iter()
-                    .map(|(cap, ids)| {
-                        let ids: Vec<String> = ids.iter().map(|c| c.to_string()).collect();
-                        format!("{cap}@{}", ids.join("+"))
-                    })
-                    .collect::<Vec<_>>()
-                    .join(","),
-            )
-        };
-        let comm = if self.comm.is_empty() {
-            None
-        } else {
-            Some(
-                self.comm
-                    .iter()
-                    .map(|(src, dst, cost)| format!("{src}-{dst}:{cost}"))
-                    .collect::<Vec<_>>()
-                    .join(","),
-            )
-        };
-        (speeds, domains, comm)
+            .collect();
+        let domains: Vec<String> = self
+            .domains
+            .iter()
+            .map(|d| {
+                let ids: Vec<String> = d.classes.iter().map(|c| c.to_string()).collect();
+                format!("{}@{}", d.capacity, ids.join("+"))
+            })
+            .collect();
+        let d = self.domains.len();
+        let mut comm = Vec::new();
+        for src in 0..d {
+            for dst in src + 1..d {
+                match self.comm.get(src * d + dst) {
+                    Some(&cost) if cost != 0.0 => comm.push(format!("{src}-{dst}:{cost}")),
+                    _ => {}
+                }
+            }
+        }
+        let joined = |parts: Vec<String>| (!parts.is_empty()).then(|| parts.join(","));
+        (speeds.join(","), joined(domains), joined(comm))
     }
 }
 
@@ -2074,38 +1897,43 @@ mod tests {
 
     #[test]
     fn platform_spec_parses_the_flag_syntax() {
-        let spec = PlatformSpec::parse_flags("2x2.0,2x1.0", Some("64@0,32@1"), None).unwrap();
+        let platform = Platform::parse_flags("2x2.0,2x1.0", Some("64@0,32@1"), None).unwrap();
         assert_eq!(
-            spec.classes,
-            vec![ProcClass::new(2, 2.0), ProcClass::new(2, 1.0)]
+            platform,
+            fast_slow().with_domain(64.0, &[0]).with_domain(32.0, &[1])
         );
-        assert_eq!(spec.domains, vec![(64.0, vec![0]), (32.0, vec![1])]);
-        assert_eq!(spec.processors(), 4);
-        let platform = spec.to_platform();
+        assert_eq!(platform.processors(), 4);
         assert!(platform.validate().is_ok());
-        assert_eq!(platform.domains().len(), 2);
         // a bare SPEED is one processor; a bare CAP covers every class
-        let spec = PlatformSpec::parse_flags("2.0, 1x1.0", Some("100"), None).unwrap();
+        let platform = Platform::parse_flags("2.0, 1x1.0", Some("100"), None).unwrap();
         assert_eq!(
-            spec.classes,
-            vec![ProcClass::new(1, 2.0), ProcClass::new(1, 1.0)]
+            platform.classes(),
+            &[ProcClass::new(1, 2.0), ProcClass::new(1, 1.0)]
         );
-        assert_eq!(spec.domains, vec![(100.0, vec![0, 1])]);
-        assert_eq!(spec.to_platform().memory_cap(), Some(100.0));
+        assert_eq!(platform.domains()[0].classes, vec![0, 1]);
+        assert_eq!(platform.memory_cap(), Some(100.0));
         // `+`-joined class lists
-        let spec = PlatformSpec::parse_flags("1x2.0,1x1.0,1x1.0", Some("8@1+2"), None).unwrap();
-        assert_eq!(spec.domains, vec![(8.0, vec![1, 2])]);
-        // comm entries are symmetric in the built matrix
-        let spec =
-            PlatformSpec::parse_flags("2x2.0,2x1.0", Some("64@0,32@1"), Some("0-1:0.5")).unwrap();
-        assert_eq!(spec.comm, vec![(0, 1, 0.5)]);
-        let platform = spec.to_platform();
+        let platform = Platform::parse_flags("1x2.0,1x1.0,1x1.0", Some("8@1+2"), None).unwrap();
+        assert_eq!(platform.domains()[0].classes, vec![1, 2]);
+        // per-pair comm entries build a symmetric matrix over zeros
+        let platform =
+            Platform::parse_flags("2x2.0,2x1.0", Some("64@0,32@1"), Some("0-1:0.5")).unwrap();
         assert!(platform.validate().is_ok());
         assert_eq!(platform.comm(), &[0.0, 0.5, 0.5, 0.0]);
         assert_eq!(platform.comm_cost(1, 0), 0.5);
         assert_eq!(platform.comm_cost(0, 0), 0.0);
-        // flat spelling matches Platform::new bit for bit
-        assert_eq!(PlatformSpec::flat(4).to_platform(), Platform::new(4));
+        let platform =
+            Platform::parse_flags("1x2,1x1,1x1", Some("8@0,8@1,8@2"), Some("0-1:0.5,2-1:2"))
+                .unwrap();
+        assert_eq!(platform.comm_cost(1, 0), 0.5);
+        assert_eq!(platform.comm_cost(1, 2), 2.0);
+        assert_eq!(platform.comm_cost(0, 2), 0.0);
+        assert!(platform.has_comm());
+        // the flat spelling matches Platform::new bit for bit
+        assert_eq!(
+            Platform::parse_flags("4x1", None, None).unwrap(),
+            Platform::new(4)
+        );
     }
 
     #[test]
@@ -2118,17 +1946,33 @@ mod tests {
             ("2x2,2x1", Some("64@0,32@1"), Some("0-1:2")),
             ("1x2,1x1,1x1", Some("8@0,8@1,8@2"), Some("0-1:0.5,1-2:2")),
         ] {
-            let spec = PlatformSpec::parse_flags(speeds, domains, comm).unwrap();
-            let (s, d, c) = spec.flag_strings();
+            let platform = Platform::parse_flags(speeds, domains, comm).unwrap();
+            let (s, d, c) = platform.flag_strings();
             assert_eq!(s, speeds);
             assert_eq!(d.as_deref(), domains);
             assert_eq!(c.as_deref(), comm);
             assert_eq!(
-                PlatformSpec::parse_flags(&s, d.as_deref(), c.as_deref()).unwrap(),
-                spec,
+                Platform::parse_flags(&s, d.as_deref(), c.as_deref()).unwrap(),
+                platform,
                 "{speeds} {domains:?} {comm:?}"
             );
         }
+        // the matrix is the platform: pair order and direction do not
+        // survive, only the costs
+        for comm in ["1-0:2", "0-1:2", "1-0:2,0-1:2"] {
+            let platform = Platform::parse_flags("2x1", Some("8@0,8@0"), Some(comm)).unwrap();
+            assert_eq!(
+                platform.flag_strings().2.as_deref(),
+                Some("0-1:2"),
+                "{comm}"
+            );
+        }
+        let zero = Platform::parse_flags("2x1", Some("8@0,8@0"), Some("0-1:0")).unwrap();
+        assert_eq!(
+            zero.flag_strings().2,
+            None,
+            "an all-zero matrix is no matrix"
+        );
     }
 
     #[test]
@@ -2160,21 +2004,30 @@ mod tests {
             ("2x1,2x1", Some("8@0,8@1"), Some("0-2:1"), "only 2 domains"),
             ("2x1", None, Some("0-1:1"), "only 0 domains"),
         ] {
-            let err = PlatformSpec::parse_flags(speeds, domains, comm).unwrap_err();
+            let err = Platform::parse_flags(speeds, domains, comm).unwrap_err();
             assert!(
                 err.to_string().contains(needle),
                 "{speeds} {domains:?} {comm:?}: expected `{needle}` in `{err}`"
             );
         }
+        // a comm entry naming an undeclared domain is typed, with its entry
+        assert_eq!(
+            Platform::parse_flags("2x1", Some("8@0"), Some("0-0:0,0-1:1")),
+            Err(PlatformParseError::CommDomainOutOfRange {
+                index: 1,
+                domains: 1,
+                entry: 1
+            })
+        );
         // structural junk parses but fails Platform::validate, typed
-        let spec = PlatformSpec::parse_flags("2x0", None, None).unwrap();
+        let platform = Platform::parse_flags("2x0", None, None).unwrap();
         assert!(matches!(
-            spec.to_platform().validate(),
+            platform.validate(),
             Err(SchedError::InvalidSpeed { .. })
         ));
-        let spec = PlatformSpec::parse_flags("2x1.0", Some("5@7"), None).unwrap();
+        let platform = Platform::parse_flags("2x1.0", Some("5@7"), None).unwrap();
         assert!(matches!(
-            spec.to_platform().validate(),
+            platform.validate(),
             Err(SchedError::UnknownClass { .. })
         ));
     }
@@ -2812,83 +2665,44 @@ mod tests {
     }
 
     #[test]
-    fn platform_builder_builds_what_the_wrappers_build() {
-        // the fluent spelling and the legacy constructors are the same values
-        assert_eq!(
-            Platform::builder().class(4, 1.0).build().unwrap(),
-            Platform::new(4)
-        );
-        assert_eq!(
-            Platform::builder()
-                .class(2, 2.0)
-                .class(2, 1.0)
-                .build()
-                .unwrap(),
-            fast_slow()
-        );
-        assert_eq!(
-            Platform::builder()
-                .class(3, 1.0)
-                .memory_cap(7.5)
-                .build()
-                .unwrap(),
-            Platform::new(3).with_memory_cap(7.5)
-        );
-        assert_eq!(
-            Platform::builder()
-                .classes([ProcClass::new(2, 2.0), ProcClass::new(2, 1.0)])
-                .domain(64.0, &[0])
-                .domain(32.0, &[1])
-                .build()
-                .unwrap(),
-            fast_slow().with_domain(64.0, &[0]).with_domain(32.0, &[1])
-        );
-        // comm_cost entries assemble a symmetric matrix over a zero default
-        let p = Platform::builder()
-            .class(1, 2.0)
-            .class(1, 1.0)
-            .class(1, 1.0)
-            .domain(8.0, &[0])
-            .domain(8.0, &[1])
-            .domain(8.0, &[2])
-            .comm_cost(0, 1, 0.5)
-            .comm_cost(1, 2, 2.0)
-            .build()
-            .unwrap();
-        assert_eq!(p.comm_cost(1, 0), 0.5);
-        assert_eq!(p.comm_cost(2, 1), 2.0);
-        assert_eq!(p.comm_cost(0, 2), 0.0);
-        assert!(p.has_comm());
-        // build() surfaces validation errors, typed
-        assert!(matches!(
-            Platform::builder().build(),
-            Err(SchedError::NoProcessors)
-        ));
-        assert!(matches!(
-            Platform::builder().class(2, -1.0).build(),
-            Err(SchedError::InvalidSpeed { .. })
-        ));
-        // a comm entry against an undeclared domain is caught before assembly
-        assert!(matches!(
-            Platform::builder()
-                .class(2, 1.0)
-                .domain(8.0, &[0])
-                .comm_cost(0, 1, 1.0)
-                .build(),
-            Err(SchedError::InvalidCommMatrix { .. })
-        ));
-        // memory_cap collapses domains to one shared cap and drops comm
-        let p = Platform::builder()
-            .class(1, 1.0)
-            .class(1, 1.0)
-            .domain(4.0, &[0])
-            .domain(4.0, &[1])
-            .comm_cost(0, 1, 1.0)
-            .memory_cap(100.0)
-            .build()
-            .unwrap();
+    fn with_memory_cap_replaces_domains_and_drops_comm() {
+        let p = Platform::heterogeneous(vec![ProcClass::new(1, 1.0), ProcClass::new(1, 1.0)])
+            .with_domain(4.0, &[0])
+            .with_domain(4.0, &[1])
+            .with_comm(vec![0.0, 1.0, 1.0, 0.0])
+            .with_memory_cap(100.0);
+        assert_eq!(p.domains().len(), 1);
         assert_eq!(p.memory_cap(), Some(100.0));
-        assert!(!p.has_comm());
+        assert!(p.comm().is_empty());
+        assert!(p.validate().is_ok());
+    }
+
+    #[test]
+    fn processor_totals_are_bounded_without_overflow() {
+        let max = Platform::MAX_PROCESSORS;
+        assert!(Platform::new(max).validate().is_ok());
+        assert_eq!(
+            Platform::new(max + 1).validate(),
+            Err(SchedError::TooManyProcessors {
+                processors: u64::from(max) + 1
+            })
+        );
+        assert_eq!(
+            Platform::new(4_000_000_000).validate(),
+            Err(SchedError::TooManyProcessors {
+                processors: 4_000_000_000
+            })
+        );
+        // class counts that wrap a u32 sum to a small total
+        let wrapping =
+            Platform::heterogeneous(vec![ProcClass::new(u32::MAX, 1.0), ProcClass::new(2, 1.0)]);
+        assert_eq!(wrapping.processors(), u32::MAX, "saturates, never wraps");
+        assert_eq!(
+            wrapping.validate(),
+            Err(SchedError::TooManyProcessors {
+                processors: u64::from(u32::MAX) + 2
+            })
+        );
     }
 
     #[test]

@@ -83,8 +83,8 @@ pub mod split;
 
 pub use api::{
     tree_fingerprint, Diagnostics, MemDomain, Metric, Outcome, OwnedRequest, Platform,
-    PlatformBuilder, PlatformFlag, PlatformParseError, PlatformSpec, ProcClass, Request,
-    SchedError, Scheduler, SchedulerRegistry, Scratch, ScratchStats,
+    PlatformFlag, PlatformParseError, ProcClass, Request, SchedError, Scheduler, SchedulerRegistry,
+    Scratch, ScratchStats,
 };
 pub use bounds::{
     makespan_lower_bound, makespan_lower_bound_on, memory_lower_bound_exact, memory_reference,

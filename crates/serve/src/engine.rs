@@ -222,6 +222,12 @@ struct Counters {
 
 type Batch = Vec<(u64, ServeRequest)>;
 
+/// The most workers a front-end may ask an engine for: `serve --workers`,
+/// `campaign --workers` and the campaign spec key `workers` reject larger
+/// counts as usage errors, before any thread is spawned. The engine spawns
+/// one OS thread per worker, and a thread the OS refuses is a panic.
+pub const MAX_WORKERS: usize = 256;
+
 /// A long-lived serving engine over a [`SchedulerRegistry`].
 ///
 /// [`ServeEngine::submit`] enqueues requests; [`ServeEngine::drain`] shards

@@ -442,36 +442,6 @@ pub fn platform_from_value(value: &Value) -> Result<Platform, String> {
 // Request records
 // ---------------------------------------------------------------------------
 
-/// How a request line spelled its platform.
-#[derive(Clone, Debug, PartialEq)]
-pub enum PlatformSpec {
-    /// The flat legacy fields: `processors` plus optional `cap`.
-    Flat {
-        /// Processor count (`processors`, ≥ 1 checked downstream).
-        processors: u32,
-        /// Shared memory cap (`cap`, optional).
-        cap: Option<f64>,
-    },
-    /// The nested `platform` object.
-    Explicit(Platform),
-}
-
-impl PlatformSpec {
-    /// The platform this spec describes.
-    pub fn to_platform(&self) -> Platform {
-        match self {
-            PlatformSpec::Flat { processors, cap } => {
-                let platform = Platform::new(*processors);
-                match cap {
-                    Some(cap) => platform.with_memory_cap(*cap),
-                    None => platform,
-                }
-            }
-            PlatformSpec::Explicit(platform) => platform.clone(),
-        }
-    }
-}
-
 /// One parsed request line of the serving protocol.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RequestRecord {
@@ -482,11 +452,11 @@ pub struct RequestRecord {
     /// Scheduler registry name or alias (`scheduler`, optional — the
     /// engine front-end supplies its default).
     pub scheduler: Option<String>,
-    /// The requested platform: flat `processors`/`cap` fields or a nested
-    /// `platform` object. `None` when the line carried neither — the
-    /// front-end decides whether a default platform applies or the request
-    /// is an error.
-    pub platform: Option<PlatformSpec>,
+    /// The requested platform, from the flat `processors`/`cap` fields or a
+    /// nested `platform` object (not yet validated). `None` when the line
+    /// carried neither — the front-end decides whether a default platform
+    /// applies or the request is an error.
+    pub platform: Option<Platform>,
     /// Sequential sub-algorithm (`seq`: `best|naive|liu`, optional).
     pub seq: Option<SeqAlgo>,
     /// Seed for randomized schedulers (`seed`, optional).
@@ -560,8 +530,11 @@ impl RequestRecord {
             (Some(_), Some(_), _) | (Some(_), _, Some(_)) => {
                 return Err("`platform` cannot be combined with `processors`/`cap`".into())
             }
-            (Some(platform), None, None) => Some(PlatformSpec::Explicit(platform)),
-            (None, Some(processors), cap) => Some(PlatformSpec::Flat { processors, cap }),
+            (Some(platform), None, None) => Some(platform),
+            (None, Some(processors), None) => Some(Platform::new(processors)),
+            (None, Some(processors), Some(cap)) => {
+                Some(Platform::new(processors).with_memory_cap(cap))
+            }
             (None, None, Some(_)) => return Err("`cap` needs `processors`".into()),
             (None, None, None) => None,
         };
@@ -569,9 +542,10 @@ impl RequestRecord {
     }
 
     /// Renders the record back to its canonical one-line JSON form
-    /// (optional absent fields omitted). Flat platforms render as the
-    /// legacy `processors`/`cap` fields, byte-compatible with pre-platform
-    /// streams.
+    /// (optional absent fields omitted). A flat platform without transfer
+    /// costs renders as the legacy `processors`/`cap` fields, as in
+    /// [`ScheduleRecord`], byte-compatible with pre-platform streams; any
+    /// other platform as the nested `platform` object.
     pub fn to_json(&self) -> String {
         let mut s = String::from("{");
         if let Some(id) = &self.id {
@@ -582,13 +556,13 @@ impl RequestRecord {
             s.push_str(&format!(",\"scheduler\":\"{}\"", escape(name)));
         }
         match &self.platform {
-            Some(PlatformSpec::Flat { processors, cap }) => {
-                s.push_str(&format!(",\"processors\":{processors}"));
-                if let Some(cap) = cap {
+            Some(platform) if platform.is_flat() && !platform.has_comm() => {
+                s.push_str(&format!(",\"processors\":{}", platform.processors()));
+                if let Some(cap) = platform.memory_cap() {
                     s.push_str(&format!(",\"cap\":{cap}"));
                 }
             }
-            Some(PlatformSpec::Explicit(platform)) => {
+            Some(platform) => {
                 s.push_str(&format!(",\"platform\":{}", platform_json(platform)));
             }
             None => {}
@@ -941,17 +915,7 @@ mod tests {
         assert_eq!(rec.id.as_deref(), Some("r1"));
         assert_eq!(rec.tree, "x.tree");
         assert_eq!(rec.scheduler.as_deref(), Some("deepest"));
-        assert_eq!(
-            rec.platform,
-            Some(PlatformSpec::Flat {
-                processors: 4,
-                cap: Some(100.0)
-            })
-        );
-        assert_eq!(
-            rec.platform.as_ref().unwrap().to_platform(),
-            Platform::new(4).with_memory_cap(100.0)
-        );
+        assert_eq!(rec.platform, Some(Platform::new(4).with_memory_cap(100.0)));
         assert_eq!(rec.seq, Some(SeqAlgo::LiuExact));
         assert_eq!(rec.seed, Some(7));
         assert_eq!(RequestRecord::parse(&rec.to_json()).unwrap(), rec);
@@ -975,17 +939,21 @@ mod tests {
             Platform::heterogeneous(vec![ProcClass::new(2, 2.0), ProcClass::new(2, 1.0)])
                 .with_domain(64.0, &[0])
                 .with_domain(32.0, &[1]);
-        assert_eq!(rec.platform, Some(PlatformSpec::Explicit(expected.clone())));
-        assert_eq!(rec.platform.as_ref().unwrap().to_platform(), expected);
+        assert_eq!(rec.platform, Some(expected));
         // canonical rendering round-trips through the parser
         assert_eq!(RequestRecord::parse(&rec.to_json()).unwrap(), rec);
         // speed defaults to 1.0; domains are optional
         let rec = RequestRecord::parse(r#"{"tree":"x.tree","platform":{"classes":[{"count":3}]}}"#)
             .unwrap();
-        assert_eq!(
-            rec.platform.as_ref().unwrap().to_platform(),
-            Platform::heterogeneous(vec![ProcClass::new(3, 1.0)])
-        );
+        assert_eq!(rec.platform, Some(Platform::new(3)));
+        // a flat platform object renders as the legacy flat fields
+        assert_eq!(rec.to_json(), r#"{"tree":"x.tree","processors":3}"#);
+        let rec = RequestRecord::parse(
+            r#"{"tree":"x.tree","platform":{"classes":[{"count":2}],"domains":[{"capacity":8,"classes":[0]}]}}"#,
+        )
+        .unwrap();
+        assert_eq!(rec.to_json(), r#"{"tree":"x.tree","processors":2,"cap":8}"#);
+        assert_eq!(RequestRecord::parse(&rec.to_json()).unwrap(), rec);
     }
 
     #[test]
@@ -1069,13 +1037,7 @@ mod tests {
         let rec =
             RequestRecord::parse(r#"{"id":null,"tree":"x","processors":2,"cap":null}"#).unwrap();
         assert_eq!(rec.id, None);
-        assert_eq!(
-            rec.platform,
-            Some(PlatformSpec::Flat {
-                processors: 2,
-                cap: None
-            })
-        );
+        assert_eq!(rec.platform, Some(Platform::new(2)));
     }
 
     fn sample_record<'a>(platform: &'a Platform, peaks: &'a [f64]) -> ScheduleRecord<'a> {

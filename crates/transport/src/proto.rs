@@ -74,20 +74,20 @@ impl RequestParser {
             Ok(r) => r,
             Err(e) => return Err(malformed_json(lineno, &e)),
         };
-        let id = record.id.clone();
+        let id = record.id;
         let tree = match self.trees.get(&record.tree) {
             Some(t) => Arc::clone(t),
             None => match load_tree(&record.tree) {
                 Ok(t) => {
                     let t = Arc::new(t);
-                    self.trees.insert(record.tree.clone(), Arc::clone(&t));
+                    self.trees.insert(record.tree, Arc::clone(&t));
                     t
                 }
                 Err(e) => return Err(error_json(id.as_deref(), &e)),
             },
         };
-        let platform = match (&record.platform, &self.default_platform) {
-            (Some(spec), _) => spec.to_platform(),
+        let platform = match (record.platform, &self.default_platform) {
+            (Some(platform), _) => platform,
             (None, Some(default)) => default.clone(),
             (None, None) => {
                 return Err(error_json(
@@ -98,7 +98,6 @@ impl RequestParser {
         };
         let scheduler = record
             .scheduler
-            .clone()
             .unwrap_or_else(|| default_scheduler(&platform).to_string());
         let mut request = ServeRequest::new(tree, scheduler, platform);
         if let Some(seq) = record.seq {

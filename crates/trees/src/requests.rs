@@ -6,8 +6,8 @@
 //! exact type the engine parses back — so `tree to-requests` output is
 //! accepted verbatim by construction, not by convention.
 
-use treesched_core::SeqAlgo;
-use treesched_serve::{PlatformSpec, RequestRecord};
+use treesched_core::{Platform, SeqAlgo};
+use treesched_serve::RequestRecord;
 
 /// What to put on each emitted request line (besides the tree path).
 #[derive(Clone, Debug)]
@@ -48,9 +48,9 @@ pub fn to_requests(tree_path: &str, opts: &RequestOptions) -> String {
             id: Some(format!("{}-p{p}", opts.prefix)),
             tree: tree_path.to_string(),
             scheduler: opts.scheduler.clone(),
-            platform: Some(PlatformSpec::Flat {
-                processors: p,
-                cap: opts.cap,
+            platform: Some(match opts.cap {
+                Some(cap) => Platform::new(p).with_memory_cap(cap),
+                None => Platform::new(p),
             }),
             seq: opts.seq,
             seed: opts.seed,
@@ -87,13 +87,7 @@ mod tests {
         for (line, p) in lines.iter().zip([1u32, 2, 4]) {
             let rec = RequestRecord::parse(line).expect("verbatim acceptance");
             assert_eq!(rec.id.as_deref(), Some(format!("fork-p{p}").as_str()));
-            assert_eq!(
-                rec.platform,
-                Some(PlatformSpec::Flat {
-                    processors: p,
-                    cap: Some(64.0)
-                })
-            );
+            assert_eq!(rec.platform, Some(Platform::new(p).with_memory_cap(64.0)));
         }
     }
 

@@ -8,7 +8,7 @@
 //! ```
 
 use std::sync::Arc;
-use treesched::core::api::{Platform, Request, SchedError, Scratch};
+use treesched::core::api::{Platform, ProcClass, Request, SchedError, Scratch};
 use treesched::core::{makespan_lower_bound_on, SchedulerRegistry};
 use treesched::serve::{ServeEngine, ServeRequest};
 use treesched::TaskTree;
@@ -19,15 +19,15 @@ fn main() {
     let mut scratch = Scratch::new();
 
     // 2 fast + 2 slow processors; each pair owns its own memory domain.
-    // The fluent builder validates at `build()`, so malformed platforms
-    // are typed errors instead of panics deep inside a scheduler.
-    let platform = Platform::builder()
-        .class(2, 2.0) // procs 0-1, double speed
-        .class(2, 1.0) // procs 2-3, baseline
-        .domain(400.0, &[0])
-        .domain(200.0, &[1])
-        .build()
-        .expect("a well-formed platform");
+    // `validate` checks every invariant, so malformed platforms are typed
+    // errors instead of panics deep inside a scheduler.
+    let platform = Platform::heterogeneous(vec![
+        ProcClass::new(2, 2.0), // procs 0-1, double speed
+        ProcClass::new(2, 1.0), // procs 2-3, baseline
+    ])
+    .with_domain(400.0, &[0])
+    .with_domain(200.0, &[1]);
+    platform.validate().expect("a well-formed platform");
     let flat = Platform::new(4);
 
     // Every registered scheduler serves mixed speeds and split memory now:
@@ -64,12 +64,8 @@ fn main() {
     // Charge half a time unit per unit of output crossing between the two
     // domains: the list schedulers delay cross-domain children by
     // `output x cost`; the subtree/capped families refuse, typed.
-    let costly = platform
-        .clone()
-        .into_builder()
-        .comm_cost(0, 1, 0.5)
-        .build()
-        .expect("a symmetric cost matrix");
+    let costly = platform.clone().with_comm(vec![0.0, 0.5, 0.5, 0.0]);
+    costly.validate().expect("a symmetric cost matrix");
     println!("\nwith transfer costs (0-1:0.5):");
     let comm_lb = makespan_lower_bound_on(&tree, &costly);
     for entry in registry.iter() {

@@ -284,13 +284,13 @@ fn registry_names_round_trip() {
 #[test]
 fn every_campaign_scheduler_appears_in_a_minimal_campaign_run() {
     use treesched::bench::{CampaignRunner, CampaignSpec, PlatformPoint};
-    use treesched::core::api::PlatformSpec;
+    use treesched::core::api::Platform;
 
     let spec = CampaignSpec::new("minimal")
         .with_tree("complete", TaskTree::complete(2, 4, 1.0, 2.0, 0.5))
         .with_procs(&[2])
-        .with_platform(PlatformPoint::from_spec(
-            PlatformSpec::parse_flags("1x2.0,1x1.0", Some("1e9@0,1e9@1"), None).unwrap(),
+        .with_platform(PlatformPoint::new(
+            Platform::parse_flags("1x2.0,1x1.0", Some("1e9@0,1e9@1"), None).unwrap(),
         ));
     let mut runner = CampaignRunner::new(2);
     let campaign = runner.run(&spec).expect("default selection resolves");
