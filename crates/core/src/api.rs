@@ -1126,8 +1126,9 @@ impl Outcome {
 ///   sweeps its memory, are reused across calls, so a warm scratch
 ///   evaluates without allocating.
 ///
-/// Trees are identified by a structural hash (parents + weights), so the
-/// caches invalidate automatically when a different tree arrives.
+/// Trees are identified by [`tree_fingerprint`] (parents, weights and
+/// child order, memoized in the tree), so the caches invalidate
+/// automatically when a different tree arrives.
 #[derive(Default)]
 pub struct Scratch {
     tree_hash: u64,
@@ -1171,32 +1172,20 @@ impl ScratchStats {
     }
 }
 
-/// Structural hash of a tree: parents and weight bits through splitmix64
-/// mixing, never 0.
+/// Structural hash of a tree: parents, weight bits and child order, never
+/// 0. It is [`TaskTree::fingerprint`], memoized in the tree: the first
+/// call on a tree walks it, later calls are O(1) until a `set_*` method
+/// changes its weights.
 ///
 /// [`Scratch`] uses it to invalidate its per-tree caches; sharded serving
 /// engines use it to route same-tree requests to the worker whose caches
-/// are already warm. Equal trees (same shape and weights) hash equal even
-/// when they are distinct allocations.
+/// are already warm. Equal trees (same shape, weights and child order)
+/// hash equal even when they are distinct allocations; trees that differ
+/// only in the order of some node's children hash apart, so a cached
+/// order-sensitive traversal (the naive postorder) is never served for
+/// the wrong one.
 pub fn tree_fingerprint(tree: &TaskTree) -> u64 {
-    #[inline]
-    fn mix(h: u64, v: u64) -> u64 {
-        let mut z = h ^ v.wrapping_add(0x9e3779b97f4a7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
-    let mut h = mix(0x7ee5_c0de, tree.len() as u64);
-    h = mix(h, tree.root().0 as u64);
-    for i in tree.ids() {
-        let parent = tree.parent(i).map_or(u64::MAX, |p| p.0 as u64);
-        h = mix(h, parent);
-        h = mix(h, tree.work(i).to_bits());
-        h = mix(h, tree.output(i).to_bits());
-        h = mix(h, tree.exec(i).to_bits());
-    }
-    // 0 is the "empty" sentinel of a fresh Scratch
-    h | 1
+    tree.fingerprint()
 }
 
 impl Scratch {
@@ -2259,6 +2248,53 @@ mod tests {
             tree_fingerprint(&TaskTree::chain(5, 1.0, 1.0, 0.0))
         );
         assert_ne!(tree_fingerprint(&a), 0, "0 is the empty-scratch sentinel");
+    }
+
+    #[test]
+    fn a_warm_scratch_tells_child_orders_apart() {
+        // `subtree` numbers nodes in DFS pop order, so its child lists run
+        // descending; `from_parents` on the same parents and weights builds
+        // ascending ones, and the naive postorder follows the stored order
+        let base = TaskTree::from_parents(
+            &[None, Some(0), Some(0), Some(0), Some(1), Some(1), Some(2)],
+            &[1.0, 2.0, 3.0, 1.0, 4.0, 2.0, 5.0],
+            &[1.0, 3.0, 2.0, 5.0, 1.0, 4.0, 2.0],
+            &[0.0, 0.5, 0.0, 1.0, 0.0, 0.0, 0.5],
+        )
+        .unwrap();
+        let (desc, _) = base.subtree(base.root());
+        let parents: Vec<Option<usize>> = desc
+            .ids()
+            .map(|i| desc.parent(i).map(NodeId::index))
+            .collect();
+        let column =
+            |f: fn(&TaskTree, NodeId) -> f64| desc.ids().map(|i| f(&desc, i)).collect::<Vec<_>>();
+        let asc = TaskTree::from_parents(
+            &parents,
+            &column(TaskTree::work),
+            &column(TaskTree::output),
+            &column(TaskTree::exec),
+        )
+        .unwrap();
+        assert_ne!(desc.children(desc.root()), asc.children(asc.root()));
+        assert_ne!(tree_fingerprint(&desc), tree_fingerprint(&asc));
+        let r = SchedulerRegistry::standard();
+        for entry in r.iter() {
+            for p in [1, 2, 3] {
+                let platform = Platform::new(p).with_memory_cap(1e6);
+                let req = |t| Request::new(t, platform.clone()).with_seq(SeqAlgo::NaivePostorder);
+                let mut warm = Scratch::new();
+                let _ = entry.scheduler().schedule(&req(&desc), &mut warm);
+                let warm = entry.scheduler().schedule(&req(&asc), &mut warm);
+                let fresh = entry.scheduler().schedule_once(&req(&asc));
+                assert_eq!(
+                    warm.map(|o| o.schedule),
+                    fresh.map(|o| o.schedule),
+                    "{} on p = {p}",
+                    entry.name()
+                );
+            }
+        }
     }
 
     #[test]

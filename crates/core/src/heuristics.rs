@@ -14,7 +14,7 @@
 
 use crate::listsched::Speeds;
 use crate::schedule::{Placement, Schedule};
-use crate::split::split_subtrees_with_work;
+use crate::split::{split_subtrees_in, SplitScratch};
 use treesched_model::{NodeId, SubtreeView, TaskTree};
 use treesched_seq::{
     best_postorder_view, liu_exact_view, naive_postorder_view, LiuScratch, TraversalResult,
@@ -83,6 +83,8 @@ pub struct SubtreeScratch {
     order: Vec<NodeId>,
     /// Buffers of the view-based postorder algorithms.
     view: ViewScratch,
+    /// The `SplitSubtrees` queue heaps and pop sequence.
+    split: SplitScratch,
     /// Chain storage of the view-based exact algorithm.
     liu: LiuScratch,
     /// Processor indices of mixed-speed platforms, fastest first (see
@@ -254,7 +256,7 @@ pub fn par_subtrees(
 ) -> Schedule {
     let p = speeds.count();
     assert!(p > 0, "need at least one processor");
-    let mut split = split_subtrees_with_work(tree, p as usize, subtree_w);
+    let mut split = split_subtrees_in(tree, p as usize, subtree_w, &mut sub.split);
     if let Speeds::Per(_) = speeds {
         sort_heaviest_first(&mut split.parallel_roots, subtree_w);
     }
@@ -314,7 +316,7 @@ pub fn par_subtrees_optim(
 ) -> Schedule {
     let p = speeds.count();
     assert!(p > 0, "need at least one processor");
-    let split = split_subtrees_with_work(tree, p as usize, subtree_w);
+    let split = split_subtrees_in(tree, p as usize, subtree_w, &mut sub.split);
     let mut roots: Vec<NodeId> = split
         .parallel_roots
         .iter()

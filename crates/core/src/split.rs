@@ -14,80 +14,116 @@
 //! phase). The recorded splitting with minimal cost is returned; by the
 //! paper's Lemma 1 it is makespan-optimal for the `ParSubtrees` scheme.
 //!
-//! Complexity: `O(n log n)` via a two-set (top-`p` / rest) ordered
-//! structure, matching the paper's `O(n(log n + p))` analysis.
+//! Complexity: `O(n log n)` for any `p` (the paper's analysis gives
+//! `O(n(log n + p))`): one pass of `O(n)` heap operations, then one sort
+//! of the chosen splitting's subtree roots. `SplitScratch` keeps three binary
+//! heaps over the queue: all of it (its maximum is the head), the `p`
+//! largest elements (minimum first, to find the element a larger newcomer
+//! pushes out) and the rest (maximum first, to find the element promoted
+//! when the head is popped). Popped nodes leave the top-`p` heap lazily:
+//! their entries are skipped when they surface. The pass records the pop
+//! sequence; the chosen splitting is the queue after the best step,
+//! rebuilt from the first pops and sorted once.
 
 use crate::listsched::TotalF64;
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::BinaryHeap;
 use treesched_model::{NodeId, TaskTree};
 
 /// Priority-queue key: non-increasing `W_i`, ties by non-increasing `w_i`
-/// (paper §5.1), final tie by id. Stored ascending; `last()` is the head.
+/// (paper §5.1), final tie by id. The largest key is the head.
 type Key = (TotalF64, TotalF64, u32);
 
-/// Ordered multiset split into the `p` largest elements (`top`) and the
-/// rest, with running sums of `W` over each part.
-struct TopP {
-    p: usize,
-    top: BTreeSet<Key>,
-    rest: BTreeSet<Key>,
+/// Reusable buffers of `SplitSubtrees`: the queue as three heaps, the
+/// running `Σ W` beyond the `p` largest, and the pop sequence. Held by
+/// [`crate::SubtreeScratch`], so a warm caller splits without re-allocating
+/// the queue.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SplitScratch {
+    /// Every queued key; its maximum is the head.
+    queue: BinaryHeap<Key>,
+    /// The `p` largest queued keys, minimum first, plus stale entries of
+    /// popped nodes (skipped when they surface).
+    top: BinaryHeap<Reverse<Key>>,
+    /// Live entries in `top`.
+    top_len: usize,
+    /// The queued keys beyond the `p` largest, maximum first.
+    rest: BinaryHeap<Key>,
+    /// Running `Σ W_i` over `rest`, in the order elements enter and leave.
     rest_w_sum: f64,
+    /// Popped nodes in pop order.
+    popped: Vec<NodeId>,
+    /// `true` for popped nodes while a split runs; all `false` between
+    /// calls.
+    gone: Vec<bool>,
+    /// The queue after the best step, largest key first.
+    frontier: Vec<Key>,
 }
 
-impl TopP {
-    fn new(p: usize) -> Self {
-        TopP {
-            p,
-            top: BTreeSet::new(),
-            rest: BTreeSet::new(),
-            rest_w_sum: 0.0,
+impl SplitScratch {
+    fn reset(&mut self, n: usize) {
+        self.queue.clear();
+        self.top.clear();
+        self.top_len = 0;
+        self.rest.clear();
+        self.rest_w_sum = 0.0;
+        self.popped.clear();
+        if self.gone.len() < n {
+            self.gone.resize(n, false);
         }
     }
 
-    fn len(&self) -> usize {
-        self.top.len() + self.rest.len()
-    }
-
-    fn insert(&mut self, k: Key) {
+    /// Queues `k`, keeping `top` at the `p` largest keys.
+    fn insert(&mut self, p: usize, k: Key) {
+        self.queue.push(k);
         // invariant: `rest` is nonempty only while `top` holds `p` elements,
         // so filling `top` first never strands a larger key in `rest`
-        debug_assert!(self.rest.is_empty() || self.top.len() == self.p);
-        if self.top.len() < self.p {
-            self.top.insert(k);
+        debug_assert!(self.rest.is_empty() || self.top_len == p);
+        if self.top_len < p {
+            self.top.push(Reverse(k));
+            self.top_len += 1;
             return;
         }
-        let min_top = *self.top.first().expect("top nonempty when full");
-        if k > min_top {
-            self.top.remove(&min_top);
-            self.rest.insert(min_top);
-            self.rest_w_sum += min_top.0 .0;
-            self.top.insert(k);
+        let mut min_top = loop {
+            let entry = self.top.peek_mut().expect("top nonempty when full");
+            if self.gone[entry.0 .2 as usize] {
+                PeekMut::pop(entry);
+            } else {
+                break entry;
+            }
+        };
+        let Reverse(min) = *min_top;
+        if k > min {
+            *min_top = Reverse(k);
+            drop(min_top);
+            self.rest.push(min);
+            self.rest_w_sum += min.0 .0;
         } else {
-            self.rest.insert(k);
+            drop(min_top);
+            self.rest.push(k);
             self.rest_w_sum += k.0 .0;
         }
     }
 
     /// The head of the queue: the globally largest key.
     fn head(&self) -> Option<Key> {
-        self.top.last().copied()
+        self.queue.peek().copied()
     }
 
-    fn pop_head(&mut self) -> Key {
-        debug_assert!(self.len() > 0, "pop from empty queue");
-        let k = *self.top.last().expect("pop from nonempty queue");
-        self.top.remove(&k);
-        if let Some(&promote) = self.rest.last() {
-            self.rest.remove(&promote);
+    /// Pops the head (always in `top`) and promotes the largest of `rest`.
+    fn pop_head(&mut self) -> NodeId {
+        let k = self.queue.pop().expect("pop from nonempty queue");
+        let v = node_of(k);
+        self.gone[v.index()] = true;
+        self.popped.push(v);
+        self.top_len -= 1;
+        if let Some(promote) = self.rest.pop() {
             self.rest_w_sum -= promote.0 .0;
-            self.top.insert(promote);
+            self.top.push(Reverse(promote));
+            self.top_len += 1;
         }
-        k
-    }
-
-    /// `Σ W_i` over the elements beyond the `p` largest.
-    fn surplus_w(&self) -> f64 {
-        self.rest_w_sum
+        v
     }
 }
 
@@ -142,55 +178,76 @@ pub fn split_subtrees(tree: &TaskTree, p: usize) -> Split {
 ///
 /// Panics when `p == 0`.
 pub fn split_subtrees_with_work(tree: &TaskTree, p: usize, subtree_w: &[f64]) -> Split {
+    split_subtrees_in(tree, p, subtree_w, &mut SplitScratch::default())
+}
+
+/// [`split_subtrees_with_work`] over reused buffers.
+pub(crate) fn split_subtrees_in(
+    tree: &TaskTree,
+    p: usize,
+    subtree_w: &[f64],
+    pq: &mut SplitScratch,
+) -> Split {
     assert!(p > 0, "need at least one processor");
-
-    // Pass 1: find the number of pops minimizing the cost.
-    let (best_steps, best_cost) = {
-        let mut pq = TopP::new(p);
-        pq.insert(key_of(tree, subtree_w, tree.root()));
-        let mut seq_w = 0.0f64;
-        let mut best = (0usize, subtree_w[tree.root().index()]);
-        let mut s = 0usize;
-        loop {
-            let head = pq.head().expect("queue never empties");
-            let (TotalF64(w_sub), TotalF64(w_node), _) = head;
-            if w_sub <= w_node {
-                break; // head subtree is a single task (or zero-work chain)
-            }
-            let popped = node_of(pq.pop_head());
-            seq_w += tree.work(popped);
-            for &c in tree.children(popped) {
-                pq.insert(key_of(tree, subtree_w, c));
-            }
-            s += 1;
-            let head_w = pq.head().map_or(0.0, |k| k.0 .0);
-            let cost = head_w + seq_w + pq.surplus_w();
-            if cost < best.1 {
-                best = (s, cost);
-            }
+    let key = |v: NodeId| key_of(tree, subtree_w, v);
+    pq.reset(tree.len());
+    pq.insert(p, key(tree.root()));
+    let mut seq_w = 0.0f64;
+    let mut best = (0usize, subtree_w[tree.root().index()]);
+    // every step is scored: the surplus sum is a running float sum that can
+    // fall below its true value, so no cost bound ends the pass early
+    loop {
+        let (TotalF64(w_sub), TotalF64(w_node), _) = pq.head().expect("queue never empties");
+        if w_sub <= w_node {
+            break; // head subtree is a single task (or zero-work chain)
         }
-        best
-    };
-
-    // Pass 2: replay to the chosen step and extract the sets.
-    let mut pq = TopP::new(p);
-    pq.insert(key_of(tree, subtree_w, tree.root()));
-    let mut seq_nodes = Vec::with_capacity(best_steps);
-    for _ in 0..best_steps {
-        let popped = node_of(pq.pop_head());
-        seq_nodes.push(popped);
+        let popped = pq.pop_head();
+        seq_w += tree.work(popped);
         for &c in tree.children(popped) {
-            pq.insert(key_of(tree, subtree_w, c));
+            pq.insert(p, key(c));
+        }
+        let head_w = pq.head().map_or(0.0, |k| k.0 .0);
+        let cost = head_w + seq_w + pq.rest_w_sum;
+        if cost < best.1 {
+            best = (pq.popped.len(), cost);
         }
     }
-    let parallel_roots: Vec<NodeId> = pq.top.iter().rev().map(|&k| node_of(k)).collect();
-    let surplus_roots: Vec<NodeId> = pq.rest.iter().rev().map(|&k| node_of(k)).collect();
+    let (steps, cost) = best;
+
+    // the queue after `steps` pops: the root, or the children of the first
+    // `steps` pops that are not among them
+    let SplitScratch {
+        popped,
+        gone,
+        frontier,
+        ..
+    } = pq;
+    for &v in &popped[steps..] {
+        gone[v.index()] = false;
+    }
+    frontier.clear();
+    if steps == 0 {
+        frontier.push(key(tree.root()));
+    }
+    for &v in &popped[..steps] {
+        frontier.extend(
+            tree.children(v)
+                .iter()
+                .filter(|c| !gone[c.index()])
+                .map(|&c| key(c)),
+        );
+    }
+    for &v in &popped[..steps] {
+        gone[v.index()] = false;
+    }
+    frontier.sort_unstable_by(|a, b| b.cmp(a));
+    let (top, rest) = frontier.split_at(p.min(frontier.len()));
     Split {
-        parallel_roots,
-        surplus_roots,
-        seq_nodes,
-        cost: best_cost,
-        steps: best_steps,
+        parallel_roots: top.iter().map(|&k| node_of(k)).collect(),
+        surplus_roots: rest.iter().map(|&k| node_of(k)).collect(),
+        seq_nodes: popped[..steps].to_vec(),
+        cost,
+        steps,
     }
 }
 
@@ -341,6 +398,29 @@ mod tests {
             .map(|v| sizes[v.index()])
             .sum();
         assert_eq!(covered + s.seq_nodes.len(), t.len());
+    }
+
+    #[test]
+    fn a_warm_scratch_splits_like_a_fresh_one() {
+        // larger and smaller trees in turn, so stale marks or heap entries
+        // of an earlier split would show
+        let trees = [
+            TaskTree::complete(3, 4, 1.0, 1.0, 0.0),
+            TaskTree::fork(6, 2.0, 1.0, 0.0),
+            TaskTree::complete(2, 6, 1.0, 1.0, 0.0),
+            TaskTree::chain(4, 1.0, 1.0, 0.0),
+        ];
+        let mut warm = SplitScratch::default();
+        for t in trees.iter().chain(trees.iter().rev()) {
+            let w = t.subtree_work();
+            for p in [1, 2, 3, 5, 64] {
+                assert_eq!(
+                    split_subtrees_in(t, p, &w, &mut warm),
+                    split_subtrees_with_work(t, p, &w)
+                );
+                assert!(warm.gone.iter().all(|&g| !g));
+            }
+        }
     }
 
     #[test]

@@ -34,8 +34,12 @@ impl TaskTree {
 
     /// Length of the critical path: the largest `w`-weighted root-to-node
     /// path. This is a lower bound on the makespan for any processor count.
+    /// Memoized like [`TaskTree::fingerprint`].
     pub fn critical_path(&self) -> f64 {
-        self.weighted_depths().into_iter().fold(0.0, f64::max)
+        *self
+            .memo
+            .critical_path
+            .get_or_init(|| self.weighted_depths().into_iter().fold(0.0, f64::max))
     }
 
     /// Total work `W_i` of each subtree (sum of `w_j` over the subtree rooted

@@ -1,6 +1,7 @@
 //! Arena-backed rooted in-tree of weighted tasks.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifier of a node inside a [`TaskTree`].
 ///
@@ -61,6 +62,14 @@ pub(crate) struct Node {
 /// keep their insertion order, which matters for order-sensitive
 /// traversals such as the *naive* postorder.
 ///
+/// Two whole-tree scalars, [`TaskTree::fingerprint`] and
+/// [`TaskTree::critical_path`], are memoized: computed on first use,
+/// shared by every later call on the same tree (and by every thread
+/// holding it), and reset by [`TaskTree::set_work`], [`TaskTree::set_output`]
+/// and [`TaskTree::set_exec`]. The memo is not part of the tree's value:
+/// `Clone` starts a clone with an empty one, and `PartialEq` and `Debug`
+/// ignore it.
+///
 /// # Example
 ///
 /// ```
@@ -77,7 +86,7 @@ pub(crate) struct Node {
 /// // running the root needs both inputs + its own output file
 /// assert_eq!(tree.local_need(tree.root()), 3.0);
 /// ```
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct TaskTree {
     pub(crate) parent: Vec<Option<NodeId>>,
     /// Processing times `w_i`.
@@ -92,6 +101,42 @@ pub struct TaskTree {
     /// Packed child lists, insertion order preserved per node.
     pub(crate) child_list: Vec<NodeId>,
     pub(crate) root: NodeId,
+    /// Whole-tree scalars, filled on first use.
+    pub(crate) memo: Memo,
+}
+
+/// The memoized whole-tree scalars of a [`TaskTree`]. Not part of the
+/// tree's value: clones start empty and every memo equals every other.
+#[derive(Default)]
+pub(crate) struct Memo {
+    pub(crate) fingerprint: OnceLock<u64>,
+    pub(crate) critical_path: OnceLock<f64>,
+}
+
+impl Clone for Memo {
+    fn clone(&self) -> Memo {
+        Memo::default()
+    }
+}
+
+impl PartialEq for Memo {
+    fn eq(&self, _: &Memo) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for TaskTree {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TaskTree")
+            .field("parent", &self.parent)
+            .field("work", &self.work)
+            .field("output", &self.output)
+            .field("exec", &self.exec)
+            .field("child_start", &self.child_start)
+            .field("child_list", &self.child_list)
+            .field("root", &self.root)
+            .finish()
+    }
 }
 
 impl TaskTree {
@@ -126,6 +171,7 @@ impl TaskTree {
             child_start,
             child_list,
             root,
+            memo: Memo::default(),
         }
     }
 
@@ -184,19 +230,66 @@ impl TaskTree {
         self.exec[i.index()]
     }
 
-    /// Overwrites the processing time of `i`.
+    /// Overwrites the processing time of `i` (and resets the memoized
+    /// fingerprint and critical path).
     pub fn set_work(&mut self, i: NodeId, w: f64) {
+        self.memo = Memo::default();
         self.work[i.index()] = w;
     }
 
-    /// Overwrites the output-file size of `i`.
+    /// Overwrites the output-file size of `i` (and resets the memoized
+    /// fingerprint and critical path).
     pub fn set_output(&mut self, i: NodeId, f: f64) {
+        self.memo = Memo::default();
         self.output[i.index()] = f;
     }
 
-    /// Overwrites the execution-file size of `i`.
+    /// Overwrites the execution-file size of `i` (and resets the memoized
+    /// fingerprint and critical path).
     pub fn set_exec(&mut self, i: NodeId, n: f64) {
+        self.memo = Memo::default();
         self.exec[i.index()] = n;
+    }
+
+    /// Structural hash of the tree: parents, weight bits and child order
+    /// through splitmix64 mixing, never 0. Memoized: the first call walks
+    /// the tree, later calls read the stored value.
+    ///
+    /// Equal trees (same shape, weights and child order) hash equal even
+    /// when they are distinct allocations. Child order enters only at
+    /// nodes whose child list is not ascending, so every tree built from a
+    /// parent array or by [`crate::TreeBuilder`] hashes as it did before
+    /// child order was covered; a tree whose lists differ only in order
+    /// (one from [`TaskTree::subtree`], say) hashes apart.
+    pub fn fingerprint(&self) -> u64 {
+        *self.memo.fingerprint.get_or_init(|| {
+            #[inline]
+            fn mix(h: u64, v: u64) -> u64 {
+                let mut z = h ^ v.wrapping_add(0x9e3779b97f4a7c15);
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+                z ^ (z >> 31)
+            }
+            let mut h = mix(0x7ee5_c0de, self.len() as u64);
+            h = mix(h, self.root.0 as u64);
+            for i in self.ids() {
+                let parent = self.parent(i).map_or(u64::MAX, |p| p.0 as u64);
+                h = mix(h, parent);
+                h = mix(h, self.work(i).to_bits());
+                h = mix(h, self.output(i).to_bits());
+                h = mix(h, self.exec(i).to_bits());
+                let kids = self.children(i);
+                if kids.windows(2).any(|pair| pair[0] > pair[1]) {
+                    // a marker no parent id takes, then the order itself
+                    h = mix(h, u64::MAX - 1);
+                    for &c in kids {
+                        h = mix(h, c.0 as u64);
+                    }
+                }
+            }
+            // 0 is the "empty" sentinel of the schedulers' scratch caches
+            h | 1
+        })
     }
 
     /// Memory needed *while* task `i` runs:
@@ -320,6 +413,7 @@ impl TaskTree {
             child_start,
             child_list,
             root,
+            memo: Memo::default(),
         };
         tree.check_connected()?;
         Ok(tree)
@@ -590,6 +684,123 @@ mod tests {
         assert_eq!(view.children(NodeId(1)), &[NodeId(3), NodeId(4)]);
         assert!(std::ptr::eq(view.tree(), &t));
         assert_eq!(view.nodes()[0], NodeId(1));
+    }
+
+    /// Trees whose fingerprints are pinned below.
+    fn pinned_trees() -> Vec<TaskTree> {
+        vec![
+            TaskTree::chain(5, 1.0, 1.0, 0.0),
+            TaskTree::fork(4, 2.0, 1.0, 0.5),
+            TaskTree::complete(3, 3, 1.0, 2.0, 0.5),
+            TaskTree::from_parents(
+                &[None, Some(0), Some(0), Some(1), Some(1), Some(2)],
+                &[1.5, 2.0, 0.0, 3.0, 1e16, 0.25],
+                &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+                &[0.0, 0.5, 0.0, 0.0, 1.0, 0.0],
+            )
+            .unwrap(),
+        ]
+    }
+
+    #[test]
+    fn fingerprints_of_ascending_trees_are_pinned() {
+        // the values from before child order entered the hash: trees with
+        // ascending child lists must keep them (serving routes on them)
+        let fps: Vec<u64> = pinned_trees().iter().map(TaskTree::fingerprint).collect();
+        assert_eq!(
+            fps,
+            [
+                0x4eea0e5cd56dc1cd,
+                0x2176369cd41c94cf,
+                0x7adc6d90af541f73,
+                0xc1e51b2a2da76769
+            ]
+        );
+    }
+
+    #[test]
+    fn fingerprint_covers_child_order() {
+        let asc =
+            TaskTree::pebble_from_parents(&[None, Some(0), Some(0), Some(1), Some(1)]).unwrap();
+        let mut nodes: Vec<Node> = asc
+            .ids()
+            .map(|i| Node {
+                parent: asc.parent(i),
+                children: asc.children(i).to_vec(),
+                work: asc.work(i),
+                output: asc.output(i),
+                exec: asc.exec(i),
+            })
+            .collect();
+        nodes[1].children.reverse();
+        let desc = TaskTree::from_nodes(nodes, asc.root());
+        assert_eq!(desc.parent, asc.parent);
+        assert_ne!(desc.fingerprint(), asc.fingerprint());
+    }
+
+    #[test]
+    fn setters_reset_the_memo() {
+        type Setter = fn(&mut TaskTree, NodeId, f64);
+        let setters: [(Setter, usize); 3] = [
+            (TaskTree::set_work, 0),
+            (TaskTree::set_output, 1),
+            (TaskTree::set_exec, 2),
+        ];
+        for (set, column) in setters {
+            let mut t = TaskTree::complete(2, 3, 1.0, 2.0, 0.5);
+            let (fp, cp) = (t.fingerprint(), t.critical_path());
+            let leaf = t.leaves()[0];
+            set(&mut t, leaf, 7.0);
+            // the same tree, built fresh with the new weight
+            let mut cols: [Vec<f64>; 3] = [
+                t.ids().map(|i| t.work(i)).collect(),
+                t.ids().map(|i| t.output(i)).collect(),
+                t.ids().map(|i| t.exec(i)).collect(),
+            ];
+            cols[column][leaf.index()] = 7.0;
+            let parents: Vec<Option<usize>> =
+                t.ids().map(|i| t.parent(i).map(NodeId::index)).collect();
+            let fresh = TaskTree::from_parents(&parents, &cols[0], &cols[1], &cols[2]).unwrap();
+            assert_eq!(t, fresh);
+            assert_ne!(t.fingerprint(), fp, "column {column}");
+            assert_eq!(t.fingerprint(), fresh.fingerprint(), "column {column}");
+            assert_eq!(t.critical_path(), fresh.critical_path(), "column {column}");
+            if column == 0 {
+                assert_ne!(t.critical_path(), cp);
+            }
+        }
+    }
+
+    #[test]
+    fn the_memo_is_not_part_of_the_value() {
+        for cold in pinned_trees() {
+            let warm = cold.clone();
+            let (fp, cp) = (warm.fingerprint(), warm.critical_path());
+            assert_eq!(warm, cold);
+            assert_eq!(format!("{warm:?}"), format!("{cold:?}"));
+            assert!(!format!("{warm:?}").contains("memo"));
+            let (warm_clone, cold_clone) = (warm.clone(), cold.clone());
+            assert_eq!(warm_clone, cold_clone);
+            assert!(warm_clone.memo.fingerprint.get().is_none());
+            assert_eq!(warm_clone.fingerprint(), fp);
+            assert_eq!(cold_clone.critical_path().to_bits(), cp.to_bits());
+            assert_eq!(cold.fingerprint(), fp);
+        }
+    }
+
+    #[test]
+    fn trees_stay_send_and_sync() {
+        fn shared<T: Send + Sync>() {}
+        shared::<TaskTree>();
+        let t = std::sync::Arc::new(TaskTree::complete(2, 6, 1.0, 1.0, 0.0));
+        let fps: Vec<u64> = (0..2)
+            .map(|_| {
+                let t = std::sync::Arc::clone(&t);
+                std::thread::spawn(move || t.fingerprint())
+            })
+            .map(|h| h.join().unwrap())
+            .collect();
+        assert_eq!(fps, [t.fingerprint(); 2]);
     }
 
     #[test]
