@@ -27,7 +27,6 @@
 
 use crate::listsched::TotalF64;
 use std::cmp::Reverse;
-use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 use treesched_model::{NodeId, TaskTree};
 
@@ -85,25 +84,21 @@ impl SplitScratch {
             self.top_len += 1;
             return;
         }
-        let mut min_top = loop {
-            let entry = self.top.peek_mut().expect("top nonempty when full");
-            if self.gone[entry.0 .2 as usize] {
-                PeekMut::pop(entry);
-            } else {
-                break entry;
-            }
-        };
-        let Reverse(min) = *min_top;
-        if k > min {
-            *min_top = Reverse(k);
-            drop(min_top);
-            self.rest.push(min);
-            self.rest_w_sum += min.0 .0;
-        } else {
-            drop(min_top);
-            self.rest.push(k);
-            self.rest_w_sum += k.0 .0;
+        while self.gone[self.top.peek().expect("top nonempty when full").0 .2 as usize] {
+            self.top.pop();
         }
+        let mut min_top = self.top.peek_mut().expect("top nonempty when full");
+        let Reverse(min) = *min_top;
+        // the smaller of `k` and the top's minimum goes to the rest
+        let demoted = if k > min {
+            *min_top = Reverse(k);
+            min
+        } else {
+            k
+        };
+        drop(min_top);
+        self.rest.push(demoted);
+        self.rest_w_sum += demoted.0 .0;
     }
 
     /// The head of the queue: the globally largest key.

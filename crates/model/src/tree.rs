@@ -257,10 +257,11 @@ impl TaskTree {
     ///
     /// Equal trees (same shape, weights and child order) hash equal even
     /// when they are distinct allocations. Child order enters only at
-    /// nodes whose child list is not ascending, so every tree built from a
-    /// parent array or by [`crate::TreeBuilder`] hashes as it did before
-    /// child order was covered; a tree whose lists differ only in order
-    /// (one from [`TaskTree::subtree`], say) hashes apart.
+    /// nodes whose child list is not ascending: trees built from a parent
+    /// array or by [`crate::TreeBuilder`] (whose lists ascend) hash by
+    /// parents and weights alone, and a tree whose lists differ from
+    /// theirs only in order (one from [`TaskTree::subtree`], say) hashes
+    /// apart.
     pub fn fingerprint(&self) -> u64 {
         *self.memo.fingerprint.get_or_init(|| {
             #[inline]
@@ -704,8 +705,8 @@ mod tests {
 
     #[test]
     fn fingerprints_of_ascending_trees_are_pinned() {
-        // the values from before child order entered the hash: trees with
-        // ascending child lists must keep them (serving routes on them)
+        // trees with ascending child lists hash by parents and weights
+        // alone; serving routes on these values, so they must not drift
         let fps: Vec<u64> = pinned_trees().iter().map(TaskTree::fingerprint).collect();
         assert_eq!(
             fps,
