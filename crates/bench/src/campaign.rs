@@ -10,7 +10,7 @@
 //! [`Metric`] selection. The [`CampaignRunner`] executes the whole product
 //! through [`treesched_serve::ServeEngine`], so campaign traffic
 //! parallelizes across workers and reuses warm per-worker
-//! [`treesched_core::Scratch`] caches exactly like serving traffic — and,
+//! [`treesched_core::Scratch`] buffers exactly like serving traffic — and,
 //! because the engine orders results by submission index, the output is
 //! byte-identical for any worker count.
 //!
@@ -444,7 +444,7 @@ pub fn default_workers() -> usize {
 
 /// Executes [`CampaignSpec`]s over a [`ServeEngine`]. The runner is
 /// long-lived: consecutive runs (the ablation studies, a figure series)
-/// share the engine's warm per-worker caches.
+/// share the engine's workers and their warm scratch buffers.
 pub struct CampaignRunner {
     registry: Arc<SchedulerRegistry>,
     engine: ServeEngine,

@@ -632,7 +632,7 @@ fn seqgap(spec: CampaignSpec, _workers: usize, log: &mut dyn Write) -> Result<Re
     let mut gaps = Vec::with_capacity(corpus.len());
     let mut worst: (f64, &str) = (0.0, "");
     for e in &corpus {
-        let po = treesched_seq::best_postorder_peak(&e.tree);
+        let po = treesched_core::memory_reference(&e.tree);
         let exact = treesched_seq::liu_exact(&e.tree).peak;
         if po < exact - 1e-9 {
             return Err(format!("{}: postorder below optimum", e.name));

@@ -464,7 +464,7 @@ fn cmd_stats(args: &[String]) -> Result<String, CliError> {
         let _ = writeln!(
             out,
             "  seq memory: best postorder {:.6e}, max single task {:.6e}",
-            treesched_seq::best_postorder_peak(&tree),
+            treesched_core::memory_reference(&tree),
             s.max_local_need
         );
     }

@@ -18,8 +18,8 @@
 //!   sequential sub-algorithm choice;
 //! * [`Outcome`] — the schedule, its validated evaluation, and diagnostics;
 //! * [`SchedError`] — every failure mode as a typed error (no panics);
-//! * [`Scratch`] — reusable ready-queue/placement buffers and per-tree
-//!   caches, so campaigns of thousands of schedules do not re-allocate;
+//! * [`Scratch`] — reusable ready-queue/placement/evaluator buffers, so
+//!   campaigns of thousands of schedules do not re-allocate;
 //! * [`SchedulerRegistry`] — name-based lookup (canonical names + aliases)
 //!   over all built-in schedulers, open for user registration.
 //!
@@ -42,7 +42,7 @@ use crate::listsched::{key_from_f64, list_schedule, CommCosts, Key3, ListScratch
 use crate::membound::{mem_bounded_schedule, mem_bounded_schedule_domains, Admission, DomainCtx};
 use crate::schedule::{EvalResult, EvalScratch, Schedule, ScheduleError};
 use std::sync::Arc;
-use treesched_model::{NodeId, TaskTree};
+use treesched_model::{MemoTraversal, NodeId, TaskTree};
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -954,7 +954,8 @@ impl<'a> Request<'a> {
 /// work across worker threads (see the `treesched_serve` crate) need the
 /// problem to be `'static` and cheap to clone — cloning an `OwnedRequest`
 /// copies an `Arc` pointer, never the tree. Requests built from the same
-/// `Arc` share one tree, so per-tree [`Scratch`] caches hit across them.
+/// `Arc` share one tree, and with it the tree's memoized reference
+/// traversals ([`SeqAlgo::reference`]).
 #[derive(Clone, Debug)]
 pub struct OwnedRequest {
     /// The task tree to schedule, shared across clones.
@@ -1115,30 +1116,21 @@ impl Outcome {
 /// A campaign runs thousands of `(tree, p, scheduler)` scenarios; `Scratch`
 /// keeps the allocations of one call alive for the next:
 ///
-/// * the **reference traversal** (order, its peak, and node positions) is
-///   cached per `(tree, SeqAlgo)` — every scheduler and every processor
-///   count on the same tree reuses it;
-/// * node **depths** and **weighted depths** are cached per tree;
 /// * the encoded **priority keys** and the list scheduler's queues/tables
 ///   (see [`ListScratch`]) are cleared, not re-allocated;
+/// * the subtree heuristics' split heaps and view buffers (see
+///   [`SubtreeScratch`]) are reused the same way;
 /// * the **evaluator**'s sort keys and per-processor/per-domain tables,
 ///   through which every built-in scheduler validates its schedule and
 ///   sweeps its memory, are reused across calls, so a warm scratch
 ///   evaluates without allocating.
 ///
-/// Trees are identified by [`tree_fingerprint`] (parents, weights and
-/// child order, memoized in the tree), so the caches invalidate
-/// automatically when a different tree arrives.
+/// A scratch holds nothing about any tree. The reference traversal (order,
+/// positions and peak) lives in the tree itself ([`SeqAlgo::reference`]),
+/// so every scheduler, processor count, scratch and thread on the same
+/// tree shares one computation.
 #[derive(Default)]
 pub struct Scratch {
-    tree_hash: u64,
-    traversal_algo: Option<SeqAlgo>,
-    order: Vec<NodeId>,
-    pos: Vec<usize>,
-    seq_peak: f64,
-    depths: Vec<u32>,
-    wdepths: Vec<f64>,
-    subtree_w: Vec<f64>,
     keys: Vec<Key3>,
     speeds: Vec<f64>,
     proc_domains: Vec<u32>,
@@ -1149,13 +1141,14 @@ pub struct Scratch {
     stats: ScratchStats,
 }
 
-/// Cache-effectiveness counters of a [`Scratch`], for serving engines and
-/// benchmarks that report how much work batching avoided.
+/// Traversal and subtree counters of a [`Scratch`], for serving engines
+/// and benchmarks that report how much work sharing avoided.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScratchStats {
-    /// Reference traversals actually computed (cache misses).
+    /// Reference traversals this scratch's calls computed (they filled the
+    /// tree's memo).
     pub traversal_computes: u64,
-    /// Traversal requests answered from the per-tree cache (hits).
+    /// Reference traversals this scratch's calls read from the tree's memo.
     pub traversal_reuses: u64,
     /// Subtrees scheduled through a borrowed view (no clone allocated).
     pub subtree_views: u64,
@@ -1177,79 +1170,34 @@ impl ScratchStats {
 /// call on a tree walks it, later calls are O(1) until a `set_*` method
 /// changes its weights.
 ///
-/// [`Scratch`] uses it to invalidate its per-tree caches; sharded serving
-/// engines use it to route same-tree requests to the worker whose caches
-/// are already warm. Equal trees (same shape, weights and child order)
+/// Sharded serving engines use it to group same-tree requests and route
+/// them to one worker. Equal trees (same shape, weights and child order)
 /// hash equal even when they are distinct allocations; trees that differ
-/// only in the order of some node's children hash apart, so a cached
-/// order-sensitive traversal (the naive postorder) is never served for
-/// the wrong one.
+/// only in the order of some node's children hash apart.
 pub fn tree_fingerprint(tree: &TaskTree) -> u64 {
     tree.fingerprint()
 }
 
 impl Scratch {
-    /// A fresh scratch with empty caches.
+    /// A fresh scratch.
     pub fn new() -> Scratch {
         Scratch::default()
     }
 
-    /// Invalidates every cache if `tree` differs from the cached one.
-    fn sync(&mut self, tree: &TaskTree) {
-        let h = tree_fingerprint(tree);
-        if self.tree_hash != h {
-            self.tree_hash = h;
-            self.traversal_algo = None;
-            self.order.clear();
-            self.pos.clear();
-            self.seq_peak = 0.0;
-            self.depths.clear();
-            self.wdepths.clear();
-            self.subtree_w.clear();
-        }
-    }
-
-    fn ensure_traversal(&mut self, tree: &TaskTree, algo: SeqAlgo) {
-        self.sync(tree);
-        if self.traversal_algo == Some(algo) {
-            self.stats.traversal_reuses += 1;
-        } else {
+    /// The memoized reference traversal of `tree` under `algo`, counted in
+    /// this scratch's stats.
+    fn reference<'t>(&mut self, tree: &'t TaskTree, algo: SeqAlgo) -> &'t MemoTraversal {
+        let (traversal, computed) = algo.reference(tree);
+        if computed {
             self.stats.traversal_computes += 1;
-            let tr = algo.traversal(tree);
-            self.order = tr.order;
-            self.seq_peak = tr.peak;
-            self.pos.clear();
-            self.pos.resize(tree.len(), 0);
-            for (k, &v) in self.order.iter().enumerate() {
-                self.pos[v.index()] = k;
-            }
-            self.traversal_algo = Some(algo);
+        } else {
+            self.stats.traversal_reuses += 1;
         }
+        traversal
     }
 
-    fn ensure_depths(&mut self, tree: &TaskTree) {
-        self.sync(tree);
-        if self.depths.len() != tree.len() {
-            self.depths = tree.depths();
-        }
-    }
-
-    fn ensure_wdepths(&mut self, tree: &TaskTree) {
-        self.sync(tree);
-        if self.wdepths.len() != tree.len() {
-            self.wdepths = tree.weighted_depths();
-        }
-    }
-
-    fn ensure_subtree_work(&mut self, tree: &TaskTree) {
-        self.sync(tree);
-        if self.subtree_w.len() != tree.len() {
-            self.subtree_w = tree.subtree_work();
-        }
-    }
-
-    /// Cache-effectiveness counters accumulated over the scratch's
-    /// lifetime (they survive tree changes; only the caches invalidate).
+    /// Traversal and subtree counters accumulated over the scratch's
+    /// lifetime.
     pub fn stats(&self) -> ScratchStats {
         ScratchStats {
             subtree_views: self.sub.subtree_views(),
@@ -1257,13 +1205,13 @@ impl Scratch {
         }
     }
 
-    /// The cached reference traversal of `tree` under `algo`: the execution
-    /// order and its sequential peak memory. Computes it on the first call
-    /// per `(tree, algo)` and reuses it afterwards. Available to custom
-    /// [`Scheduler`] implementations.
-    pub fn traversal(&mut self, tree: &TaskTree, algo: SeqAlgo) -> (&[NodeId], f64) {
-        self.ensure_traversal(tree, algo);
-        (&self.order, self.seq_peak)
+    /// The reference traversal of `tree` under `algo`: the execution order
+    /// and its sequential peak memory, memoized in the tree
+    /// ([`SeqAlgo::reference`]) and counted in [`Scratch::stats`].
+    /// Available to custom [`Scheduler`] implementations.
+    pub fn traversal<'t>(&mut self, tree: &'t TaskTree, algo: SeqAlgo) -> (&'t [NodeId], f64) {
+        let traversal = self.reference(tree, algo);
+        (&traversal.order, traversal.peak)
     }
 
     /// Event-based list scheduling on `platform` with reused buffers:
@@ -1287,7 +1235,6 @@ impl Scratch {
         platform: &Platform,
         mut key: F,
     ) -> Schedule {
-        self.sync(tree);
         self.keys.clear();
         for i in tree.ids() {
             self.keys.push(key(i));
@@ -1450,36 +1397,29 @@ impl Scheduler for ParSubtreesSched {
                 reason: "communication costs need a comm-aware list scheduler",
             });
         }
-        scratch.ensure_traversal(tree, req.seq);
-        scratch.ensure_subtree_work(tree);
+        let reference = scratch.reference(tree, req.seq);
         let algo = if self.optim {
             par_subtrees_optim
         } else {
             par_subtrees
         };
-        let Scratch {
-            order,
-            subtree_w,
-            speeds,
-            sub,
-            ..
-        } = scratch;
+        let Scratch { speeds, sub, .. } = scratch;
         // Equal-speed platforms stay on the unit-time route with every
         // instant rescaled (bit-identical at speed 1.0); mixed speeds take
         // the speed-aware placement.
         let schedule = match req.platform.uniform_speed() {
             Some(speed) => {
-                let mut schedule = algo(tree, Speeds::Unit(p), req.seq, order, subtree_w, sub);
+                let mut schedule = algo(tree, Speeds::Unit(p), req.seq, sub);
                 scale_times(&mut schedule, speed);
                 schedule
             }
             None => {
                 req.platform.fill_speeds(speeds);
-                algo(tree, Speeds::Per(speeds), req.seq, order, subtree_w, sub)
+                algo(tree, Speeds::Per(speeds), req.seq, sub)
             }
         };
         let diag = Diagnostics {
-            seq_peak: Some(scratch.seq_peak),
+            seq_peak: Some(reference.peak),
             cap_violations: None,
         };
         finish(self.name(), req, schedule, diag, scratch)
@@ -1554,21 +1494,18 @@ impl Scheduler for ListSched {
     fn schedule(&self, req: &Request<'_>, scratch: &mut Scratch) -> Result<Outcome, SchedError> {
         req.validate()?;
         let tree = req.tree;
-        scratch.ensure_traversal(tree, req.seq);
-        match self.kind {
-            ListKind::InnerFirst => scratch.ensure_depths(tree),
-            ListKind::DeepestFirst | ListKind::Cp => scratch.ensure_wdepths(tree),
-            ListKind::Fifo | ListKind::Random => {}
-        }
+        let reference = scratch.reference(tree, req.seq);
+        let pos = &reference.pos;
+        let (depths, wdepths) = match self.kind {
+            ListKind::InnerFirst => (tree.depths(), Vec::new()),
+            ListKind::DeepestFirst | ListKind::Cp => (Vec::new(), tree.weighted_depths()),
+            ListKind::Fifo | ListKind::Random => (Vec::new(), Vec::new()),
+        };
         let Scratch {
-            pos,
-            depths,
-            wdepths,
             keys,
             speeds,
             proc_domains,
             list,
-            seq_peak,
             ..
         } = scratch;
         keys.clear();
@@ -1608,7 +1545,7 @@ impl Scheduler for ListSched {
         // output has crossed into the chosen processor's domain.
         let schedule = list_on(tree, &req.platform, keys, speeds, proc_domains, list);
         let diag = Diagnostics {
-            seq_peak: Some(*seq_peak),
+            seq_peak: Some(reference.peak),
             cap_violations: None,
         };
         finish(self.name(), req, schedule, diag, scratch)
@@ -1658,14 +1595,14 @@ impl Scheduler for MemBoundedSched {
                 scheduler: self.name(),
             });
         }
-        scratch.ensure_traversal(tree, req.seq);
+        let reference = scratch.reference(tree, req.seq);
         let uniform = req.platform.uniform_speed();
         let run = match (uniform, req.platform.memory_cap()) {
             // the paper's shape — one shared cap, equal speeds — stays on
             // the historical shared-counter path, rescaled uniformly so the
             // admission event order is preserved (bit-identical at 1.0)
             (Some(speed), Some(cap)) => {
-                let mut run = mem_bounded_schedule(tree, p, &scratch.order, cap, self.policy);
+                let mut run = mem_bounded_schedule(tree, p, &reference.order, cap, self.policy);
                 scale_times(&mut run.schedule, speed);
                 run
             }
@@ -1684,11 +1621,11 @@ impl Scheduler for MemBoundedSched {
                     domain_of: &scratch.proc_domains,
                     caps: &scratch.domain_caps,
                 };
-                mem_bounded_schedule_domains(tree, &ctx, &scratch.order, self.policy)
+                mem_bounded_schedule_domains(tree, &ctx, &reference.order, self.policy)
             }
         };
         let diag = Diagnostics {
-            seq_peak: Some(scratch.seq_peak),
+            seq_peak: Some(reference.peak),
             cap_violations: Some(run.violations),
         };
         finish(self.name(), req, run.schedule, diag, scratch)
@@ -2178,31 +2115,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_survives_tree_and_algo_changes() {
-        // interleave trees and algorithms through one scratch: cached
-        // traversals must invalidate correctly (wrong caches would produce
-        // invalid schedules, caught by the outcome evaluation)
-        let trees = [
-            TaskTree::fork(9, 1.0, 1.0, 0.0),
-            TaskTree::complete(2, 5, 1.0, 1.0, 0.0),
-            TaskTree::chain(12, 2.0, 1.0, 0.5),
-        ];
-        let r = SchedulerRegistry::standard();
-        let mut scratch = Scratch::new();
-        for algo in [SeqAlgo::BestPostorder, SeqAlgo::LiuExact] {
-            for t in &trees {
-                for e in r.iter() {
-                    let req =
-                        Request::new(t, Platform::new(4).with_memory_cap(1e12)).with_seq(algo);
-                    let out = e.scheduler().schedule(&req, &mut scratch).unwrap();
-                    assert!(out.schedule.validate(t).is_ok(), "{}", e.name());
-                    assert!(out.eval.makespan > 0.0);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn owned_request_matches_borrowed_and_moves_across_threads() {
         let tree = Arc::new(sample());
         let r = SchedulerRegistry::standard();
@@ -2251,53 +2163,6 @@ mod tests {
     }
 
     #[test]
-    fn a_warm_scratch_tells_child_orders_apart() {
-        // `subtree` numbers nodes in DFS pop order, so its child lists run
-        // descending; `from_parents` on the same parents and weights builds
-        // ascending ones, and the naive postorder follows the stored order
-        let base = TaskTree::from_parents(
-            &[None, Some(0), Some(0), Some(0), Some(1), Some(1), Some(2)],
-            &[1.0, 2.0, 3.0, 1.0, 4.0, 2.0, 5.0],
-            &[1.0, 3.0, 2.0, 5.0, 1.0, 4.0, 2.0],
-            &[0.0, 0.5, 0.0, 1.0, 0.0, 0.0, 0.5],
-        )
-        .unwrap();
-        let (desc, _) = base.subtree(base.root());
-        let parents: Vec<Option<usize>> = desc
-            .ids()
-            .map(|i| desc.parent(i).map(NodeId::index))
-            .collect();
-        let column =
-            |f: fn(&TaskTree, NodeId) -> f64| desc.ids().map(|i| f(&desc, i)).collect::<Vec<_>>();
-        let asc = TaskTree::from_parents(
-            &parents,
-            &column(TaskTree::work),
-            &column(TaskTree::output),
-            &column(TaskTree::exec),
-        )
-        .unwrap();
-        assert_ne!(desc.children(desc.root()), asc.children(asc.root()));
-        assert_ne!(tree_fingerprint(&desc), tree_fingerprint(&asc));
-        let r = SchedulerRegistry::standard();
-        for entry in r.iter() {
-            for p in [1, 2, 3] {
-                let platform = Platform::new(p).with_memory_cap(1e6);
-                let req = |t| Request::new(t, platform.clone()).with_seq(SeqAlgo::NaivePostorder);
-                let mut warm = Scratch::new();
-                let _ = entry.scheduler().schedule(&req(&desc), &mut warm);
-                let warm = entry.scheduler().schedule(&req(&asc), &mut warm);
-                let fresh = entry.scheduler().schedule_once(&req(&asc));
-                assert_eq!(
-                    warm.map(|o| o.schedule),
-                    fresh.map(|o| o.schedule),
-                    "{} on p = {p}",
-                    entry.name()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn scratch_counts_traversal_reuse() {
         let t = sample();
         let r = SchedulerRegistry::standard();
@@ -2326,7 +2191,49 @@ mod tests {
         let s2 = scratch.stats();
         assert_eq!(s2.traversal_computes, 2);
         assert_eq!(s2.traversal_reuses, 3);
-        assert_eq!(s.merged(s), s.merged(s));
+        let views = ScratchStats {
+            subtree_views: 4,
+            ..ScratchStats::default()
+        };
+        assert_eq!(
+            s.merged(s2).merged(views),
+            ScratchStats {
+                traversal_computes: 3,
+                traversal_reuses: 5,
+                subtree_views: 4,
+            }
+        );
+    }
+
+    #[test]
+    fn threads_sharing_a_tree_compute_each_traversal_once() {
+        let tree = Arc::new(TaskTree::complete(3, 4, 1.0, 2.0, 0.5));
+        for algo in [
+            SeqAlgo::BestPostorder,
+            SeqAlgo::LiuExact,
+            SeqAlgo::NaivePostorder,
+        ] {
+            let handles: Vec<_> = (0..4)
+                .map(|k| {
+                    let tree = Arc::clone(&tree);
+                    std::thread::spawn(move || {
+                        let r = SchedulerRegistry::standard();
+                        let mut scratch = Scratch::new();
+                        for name in ["subtrees", "inner", "deepest"] {
+                            let req = Request::new(&tree, Platform::new(2 + k)).with_seq(algo);
+                            r.get(name).unwrap().schedule(&req, &mut scratch).unwrap();
+                        }
+                        scratch.stats()
+                    })
+                })
+                .collect();
+            let total = handles
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .fold(ScratchStats::default(), ScratchStats::merged);
+            assert_eq!(total.traversal_computes, 1, "{algo:?}");
+            assert_eq!(total.traversal_reuses, 11, "{algo:?}");
+        }
     }
 
     #[test]

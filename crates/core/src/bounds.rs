@@ -1,6 +1,7 @@
 //! Lower bounds for both objectives (paper §6.3, Figure 6).
 
 use crate::api::Platform;
+use crate::heuristics::SeqAlgo;
 use treesched_model::TaskTree;
 
 /// Makespan lower bound for `p` processors: the maximum of the average load
@@ -46,9 +47,11 @@ pub fn makespan_lower_bound_on(tree: &TaskTree, platform: &Platform) -> f64 {
 /// **optimal sequential postorder**. More processors can never require less
 /// memory than an optimal sequential traversal, and the optimal postorder
 /// is within 1% of it on realistic trees, so this is the paper's practical
-/// lower-bound estimate for parallel peak memory.
+/// lower-bound estimate for parallel peak memory. It reads the peak of
+/// the tree's memoized [`SeqAlgo::BestPostorder`] traversal, so repeated
+/// calls on one tree cost O(1).
 pub fn memory_reference(tree: &TaskTree) -> f64 {
-    treesched_seq::best_postorder_peak(tree)
+    SeqAlgo::BestPostorder.reference(tree).0.peak
 }
 
 /// True optimal sequential memory (Liu's exact algorithm) — a genuine lower

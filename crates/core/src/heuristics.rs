@@ -15,7 +15,7 @@
 use crate::listsched::Speeds;
 use crate::schedule::{Placement, Schedule};
 use crate::split::{split_subtrees_in, SplitScratch};
-use treesched_model::{NodeId, SubtreeView, TaskTree};
+use treesched_model::{MemoTraversal, NodeId, SubtreeView, TaskTree};
 use treesched_seq::{
     best_postorder_view, liu_exact_view, naive_postorder_view, LiuScratch, TraversalResult,
     ViewScratch,
@@ -45,6 +45,18 @@ impl SeqAlgo {
             SeqAlgo::LiuExact => treesched_seq::liu_exact(tree),
             SeqAlgo::NaivePostorder => treesched_seq::naive_postorder(tree),
         }
+    }
+
+    /// The reference traversal of `tree` under this algorithm, memoized in
+    /// the tree (one slot per algorithm): the first call per tree runs
+    /// [`SeqAlgo::traversal`], later calls from any thread share its
+    /// result until a `set_*` method changes the tree. The flag is `true`
+    /// exactly when this call computed the traversal.
+    pub fn reference(self, tree: &TaskTree) -> (&MemoTraversal, bool) {
+        tree.memo_traversal(self as usize, |tree| {
+            let tr = self.traversal(tree);
+            (tr.order, tr.peak)
+        })
     }
 
     /// The stable wire name used by the CLI `--seq` flag and the serving
@@ -229,15 +241,16 @@ fn sort_heaviest_first(roots: &mut [NodeId], subtree_w: &[f64]) {
 /// [`split_subtrees`](crate::split::split_subtrees), process the `q ≤ p`
 /// chosen subtrees concurrently (each with the sequential memory-optimal
 /// algorithm `seq`), then process the remaining nodes sequentially in the
-/// order of `global`, the whole-tree traversal produced by `seq`.
+/// order of the whole-tree traversal produced by `seq` (memoized in the
+/// tree, see [`SeqAlgo::reference`]).
 ///
 /// The split reasons in platform-independent *work* units; placement is
 /// speed-aware. On [`Speeds::Unit`] the `k`-th subtree of the split runs on
 /// processor `k`. On [`Speeds::Per`] the subtrees are matched
 /// heaviest-to-fastest (`k`-th heaviest onto the `k`-th fastest processor,
 /// each task running for `w / speed`). The remainder runs on the fastest
-/// processor. `subtree_w` is `tree.subtree_work()` and `sub` holds reusable
-/// buffers, so a warm caller does not re-allocate them.
+/// processor. `sub` holds reusable buffers, so a warm caller does not
+/// re-allocate them.
 ///
 /// Guarantees (paper §5.1): peak memory `≤ (p+1)·M_seq`; makespan is a
 /// `p`-approximation and is optimal among all `ParSubtrees`-style splittings
@@ -250,15 +263,14 @@ pub fn par_subtrees(
     tree: &TaskTree,
     speeds: Speeds<'_>,
     seq: SeqAlgo,
-    global: &[NodeId],
-    subtree_w: &[f64],
     sub: &mut SubtreeScratch,
 ) -> Schedule {
     let p = speeds.count();
     assert!(p > 0, "need at least one processor");
-    let mut split = split_subtrees_in(tree, p as usize, subtree_w, &mut sub.split);
+    let (subtree_w, global) = (tree.subtree_work(), &seq.reference(tree).0.order);
+    let mut split = split_subtrees_in(tree, p as usize, &subtree_w, &mut sub.split);
     if let Speeds::Per(_) = speeds {
-        sort_heaviest_first(&mut split.parallel_roots, subtree_w);
+        sort_heaviest_first(&mut split.parallel_roots, &subtree_w);
     }
     rank_procs(speeds, &mut sub.procs);
     let n = tree.len();
@@ -310,20 +322,19 @@ pub fn par_subtrees_optim(
     tree: &TaskTree,
     speeds: Speeds<'_>,
     seq: SeqAlgo,
-    global: &[NodeId],
-    subtree_w: &[f64],
     sub: &mut SubtreeScratch,
 ) -> Schedule {
     let p = speeds.count();
     assert!(p > 0, "need at least one processor");
-    let split = split_subtrees_in(tree, p as usize, subtree_w, &mut sub.split);
+    let (subtree_w, global) = (tree.subtree_work(), &seq.reference(tree).0.order);
+    let split = split_subtrees_in(tree, p as usize, &subtree_w, &mut sub.split);
     let mut roots: Vec<NodeId> = split
         .parallel_roots
         .iter()
         .chain(&split.surplus_roots)
         .copied()
         .collect();
-    sort_heaviest_first(&mut roots, subtree_w);
+    sort_heaviest_first(&mut roots, &subtree_w);
     rank_procs(speeds, &mut sub.procs);
     let n = tree.len();
     let mut placements = blank_placements(n);

@@ -37,8 +37,8 @@
 //! * [`api::SchedulerRegistry`] — name-based lookup with canonical names
 //!   and aliases, used by every front-end (CLI, experiment harness) so no
 //!   per-heuristic dispatch exists outside this crate;
-//! * [`api::Scratch`] — reusable ready-queue/placement buffers and
-//!   per-tree caches for allocation-free experiment campaigns;
+//! * [`api::Scratch`] — reusable ready-queue/placement/evaluator buffers
+//!   for allocation-free experiment campaigns;
 //! * [`api::SchedError`] — typed errors (`p == 0`, missing cap, invalid
 //!   schedule) where the low-level entry points would panic.
 //!

@@ -16,7 +16,7 @@
 //!
 //! Complexity is exponential (states × wave subsets); intended for trees of
 //! up to ~16 tasks as a ground-truth oracle for heuristic evaluation — see
-//! `pareto_dominates_heuristics` in the integration tests.
+//! the unit test `heuristics_are_dominated_by_frontier` below.
 
 use treesched_model::{NodeId, TaskTree};
 

@@ -32,5 +32,5 @@ pub mod validate;
 
 pub use build::TreeBuilder;
 pub use stats::TreeStats;
-pub use tree::{NodeId, SubtreeView, TaskTree};
+pub use tree::{MemoTraversal, NodeId, SubtreeView, TaskTree, TRAVERSAL_SLOTS};
 pub use validate::{TreeError, ValidateExt};

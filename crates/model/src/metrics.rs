@@ -1,17 +1,21 @@
 //! Derived per-node metrics: depths, subtree weights, critical path.
 
-use crate::{NodeId, TaskTree};
+use crate::TaskTree;
 
 impl TaskTree {
-    /// Edge-depth of every node (root = 0), indexed by node id.
+    /// Edge-depth of every node (root = 0), indexed by node id. Memoized
+    /// like [`TaskTree::fingerprint`]: later calls copy the stored array.
     pub fn depths(&self) -> Vec<u32> {
-        let mut d = vec![0u32; self.len()];
-        for v in self.preorder() {
-            if let Some(p) = self.parent(v) {
-                d[v.index()] = d[p.index()] + 1;
+        let depths = self.memo.depths.get_or_init(|| {
+            let mut d = vec![0u32; self.len()];
+            for v in self.preorder() {
+                if let Some(p) = self.parent(v) {
+                    d[v.index()] = d[p.index()] + 1;
+                }
             }
-        }
-        d
+            d
+        });
+        depths.clone()
     }
 
     /// Height of the tree in edges (max edge-depth of any node).
@@ -22,14 +26,18 @@ impl TaskTree {
     /// `w`-weighted depth of every node: the sum of `w` along the path from
     /// the node to the root, **including the node's own `w_i`** (paper §5.3:
     /// “this path length includes the `w_i`”). The deepest node by this
-    /// metric is the head of the critical path.
+    /// metric is the head of the critical path. Memoized like
+    /// [`TaskTree::depths`].
     pub fn weighted_depths(&self) -> Vec<f64> {
-        let mut d = vec![0.0f64; self.len()];
-        for v in self.preorder() {
-            let up = self.parent(v).map_or(0.0, |p| d[p.index()]);
-            d[v.index()] = up + self.work(v);
-        }
-        d
+        let depths = self.memo.weighted_depths.get_or_init(|| {
+            let mut d = vec![0.0f64; self.len()];
+            for v in self.preorder() {
+                let up = self.parent(v).map_or(0.0, |p| d[p.index()]);
+                d[v.index()] = up + self.work(v);
+            }
+            d
+        });
+        depths.clone()
     }
 
     /// Length of the critical path: the largest `w`-weighted root-to-node
@@ -44,17 +52,19 @@ impl TaskTree {
 
     /// Total work `W_i` of each subtree (sum of `w_j` over the subtree rooted
     /// at `i`, including `i` itself), indexed by node id. Used by
-    /// `SplitSubtrees` (paper Algorithm 2).
+    /// `SplitSubtrees` (paper Algorithm 2). Memoized like
+    /// [`TaskTree::depths`].
     pub fn subtree_work(&self) -> Vec<f64> {
-        let mut w: Vec<f64> = (0..self.len())
-            .map(|i| self.work(NodeId::from_index(i)))
-            .collect();
-        for v in self.postorder() {
-            if let Some(p) = self.parent(v) {
-                w[p.index()] += w[v.index()];
+        let work = self.memo.subtree_work.get_or_init(|| {
+            let mut w = self.work.clone();
+            for v in self.postorder() {
+                if let Some(p) = self.parent(v) {
+                    w[p.index()] += w[v.index()];
+                }
             }
-        }
-        w
+            w
+        });
+        work.clone()
     }
 
     /// Number of nodes in each subtree (including the subtree root).

@@ -62,11 +62,14 @@ pub(crate) struct Node {
 /// keep their insertion order, which matters for order-sensitive
 /// traversals such as the *naive* postorder.
 ///
-/// Two whole-tree scalars, [`TaskTree::fingerprint`] and
-/// [`TaskTree::critical_path`], are memoized: computed on first use,
-/// shared by every later call on the same tree (and by every thread
-/// holding it), and reset by [`TaskTree::set_work`], [`TaskTree::set_output`]
-/// and [`TaskTree::set_exec`]. The memo is not part of the tree's value:
+/// Per-tree facts are memoized: [`TaskTree::fingerprint`],
+/// [`TaskTree::critical_path`], the per-node [`TaskTree::depths`],
+/// [`TaskTree::weighted_depths`] and [`TaskTree::subtree_work`], and up to
+/// [`TRAVERSAL_SLOTS`] sequential traversals
+/// ([`TaskTree::memo_traversal`]). Each is computed on first use, shared
+/// by every later call on the same tree (and by every thread holding it),
+/// and reset by [`TaskTree::set_work`], [`TaskTree::set_output`] and
+/// [`TaskTree::set_exec`]. The memo is not part of the tree's value:
 /// `Clone` starts a clone with an empty one, and `PartialEq` and `Debug`
 /// ignore it.
 ///
@@ -101,16 +104,36 @@ pub struct TaskTree {
     /// Packed child lists, insertion order preserved per node.
     pub(crate) child_list: Vec<NodeId>,
     pub(crate) root: NodeId,
-    /// Whole-tree scalars, filled on first use.
+    /// Whole-tree facts, filled on first use.
     pub(crate) memo: Memo,
 }
 
-/// The memoized whole-tree scalars of a [`TaskTree`]. Not part of the
+/// Number of traversal slots in a tree's memo (see
+/// [`TaskTree::memo_traversal`]).
+pub const TRAVERSAL_SLOTS: usize = 3;
+
+/// A sequential traversal memoized in a [`TaskTree`]: the execution order,
+/// every node's position in it and the order's peak memory.
+#[derive(Clone, Debug, PartialEq)]
+pub struct MemoTraversal {
+    /// Execution order (children before parents).
+    pub order: Vec<NodeId>,
+    /// Position of each node in `order`, indexed by node id.
+    pub pos: Vec<u32>,
+    /// Peak memory of `order`.
+    pub peak: f64,
+}
+
+/// The memoized whole-tree facts of a [`TaskTree`]. Not part of the
 /// tree's value: clones start empty and every memo equals every other.
 #[derive(Default)]
 pub(crate) struct Memo {
     pub(crate) fingerprint: OnceLock<u64>,
     pub(crate) critical_path: OnceLock<f64>,
+    pub(crate) depths: OnceLock<Vec<u32>>,
+    pub(crate) weighted_depths: OnceLock<Vec<f64>>,
+    pub(crate) subtree_work: OnceLock<Vec<f64>>,
+    pub(crate) traversals: [OnceLock<MemoTraversal>; TRAVERSAL_SLOTS],
 }
 
 impl Clone for Memo {
@@ -230,22 +253,19 @@ impl TaskTree {
         self.exec[i.index()]
     }
 
-    /// Overwrites the processing time of `i` (and resets the memoized
-    /// fingerprint and critical path).
+    /// Overwrites the processing time of `i` (and resets the memo).
     pub fn set_work(&mut self, i: NodeId, w: f64) {
         self.memo = Memo::default();
         self.work[i.index()] = w;
     }
 
-    /// Overwrites the output-file size of `i` (and resets the memoized
-    /// fingerprint and critical path).
+    /// Overwrites the output-file size of `i` (and resets the memo).
     pub fn set_output(&mut self, i: NodeId, f: f64) {
         self.memo = Memo::default();
         self.output[i.index()] = f;
     }
 
-    /// Overwrites the execution-file size of `i` (and resets the memoized
-    /// fingerprint and critical path).
+    /// Overwrites the execution-file size of `i` (and resets the memo).
     pub fn set_exec(&mut self, i: NodeId, n: f64) {
         self.memo = Memo::default();
         self.exec[i.index()] = n;
@@ -288,9 +308,34 @@ impl TaskTree {
                     }
                 }
             }
-            // 0 is the "empty" sentinel of the schedulers' scratch caches
+            // never 0; the low bit stays set so pinned values do not move
             h | 1
         })
+    }
+
+    /// The traversal memoized in `slot` (below [`TRAVERSAL_SLOTS`]): the
+    /// first call per slot runs `compute` for the order and its peak, and
+    /// the memo adds each node's position; later calls, from any thread,
+    /// read the stored traversal. The flag is `true` exactly when this call
+    /// ran `compute`. A slot keeps what its first caller computed, so each
+    /// slot stands for one algorithm (`treesched_core::SeqAlgo::reference`
+    /// keeps one per sequential algorithm).
+    pub fn memo_traversal(
+        &self,
+        slot: usize,
+        compute: impl FnOnce(&TaskTree) -> (Vec<NodeId>, f64),
+    ) -> (&MemoTraversal, bool) {
+        let mut computed = false;
+        let traversal = self.memo.traversals[slot].get_or_init(|| {
+            computed = true;
+            let (order, peak) = compute(self);
+            let mut pos = vec![0u32; self.len()];
+            for (k, &v) in order.iter().enumerate() {
+                pos[v.index()] = k as u32;
+            }
+            MemoTraversal { order, pos, peak }
+        });
+        (traversal, computed)
     }
 
     /// Memory needed *while* task `i` runs:
@@ -747,11 +792,32 @@ mod tests {
             (TaskTree::set_output, 1),
             (TaskTree::set_exec, 2),
         ];
+        // a stand-in traversal whose peak reads the changed column
+        let traversal = |t: &TaskTree| {
+            let sum = |i: NodeId| t.work(i) + t.output(i) + t.exec(i);
+            (t.postorder(), t.ids().map(sum).sum())
+        };
         for (set, column) in setters {
             let mut t = TaskTree::complete(2, 3, 1.0, 2.0, 0.5);
             let (fp, cp) = (t.fingerprint(), t.critical_path());
+            let _ = (t.depths(), t.subtree_work());
+            for slot in 0..TRAVERSAL_SLOTS {
+                assert!(t.memo_traversal(slot, traversal).1);
+                assert!(!t.memo_traversal(slot, traversal).1);
+            }
+            let peak = t.memo_traversal(0, traversal).0.peak;
             let leaf = t.leaves()[0];
             set(&mut t, leaf, 7.0);
+            for slot in 0..TRAVERSAL_SLOTS {
+                let (memo, computed) = t.memo_traversal(slot, traversal);
+                assert!(computed, "column {column}, slot {slot}");
+                assert_ne!(memo.peak, peak);
+                let clone = t.clone(); // an empty memo
+                assert_eq!(memo, clone.memo_traversal(slot, traversal).0);
+                for (k, v) in memo.order.iter().enumerate() {
+                    assert_eq!(memo.pos[v.index()], k as u32);
+                }
+            }
             // the same tree, built fresh with the new weight
             let mut cols: [Vec<f64>; 3] = [
                 t.ids().map(|i| t.work(i)).collect(),
@@ -766,6 +832,9 @@ mod tests {
             assert_ne!(t.fingerprint(), fp, "column {column}");
             assert_eq!(t.fingerprint(), fresh.fingerprint(), "column {column}");
             assert_eq!(t.critical_path(), fresh.critical_path(), "column {column}");
+            assert_eq!(t.weighted_depths(), fresh.weighted_depths());
+            assert_eq!(t.subtree_work(), fresh.subtree_work());
+            assert_eq!(t.depths(), fresh.depths());
             if column == 0 {
                 assert_ne!(t.critical_path(), cp);
             }
@@ -777,12 +846,14 @@ mod tests {
         for cold in pinned_trees() {
             let warm = cold.clone();
             let (fp, cp) = (warm.fingerprint(), warm.critical_path());
+            warm.memo_traversal(0, |t| (t.postorder(), 1.0));
             assert_eq!(warm, cold);
             assert_eq!(format!("{warm:?}"), format!("{cold:?}"));
             assert!(!format!("{warm:?}").contains("memo"));
             let (warm_clone, cold_clone) = (warm.clone(), cold.clone());
             assert_eq!(warm_clone, cold_clone);
             assert!(warm_clone.memo.fingerprint.get().is_none());
+            assert!(warm_clone.memo.traversals[0].get().is_none());
             assert_eq!(warm_clone.fingerprint(), fp);
             assert_eq!(cold_clone.critical_path().to_bits(), cp.to_bits());
             assert_eq!(cold.fingerprint(), fp);

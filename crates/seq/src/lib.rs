@@ -40,8 +40,7 @@ pub mod sim;
 
 pub use liu::{liu_exact, liu_exact_view, LiuScratch};
 pub use postorder::{
-    best_postorder, best_postorder_peak, best_postorder_view, naive_postorder,
-    naive_postorder_view, ViewScratch,
+    best_postorder, best_postorder_view, naive_postorder, naive_postorder_view, ViewScratch,
 };
 pub use sim::{peak_of_order, OrderError};
 

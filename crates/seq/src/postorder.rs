@@ -46,11 +46,6 @@ pub fn best_postorder(tree: &TaskTree) -> TraversalResult {
     }
 }
 
-/// Value-only variant of [`best_postorder`] (skips building the order).
-pub fn best_postorder_peak(tree: &TaskTree) -> f64 {
-    postorder_peaks(tree).0[tree.root().index()]
-}
-
 /// Computes `P_i` for every node plus each node's children sorted by
 /// non-increasing `P_j − f_j` (ties broken by id for determinism).
 fn postorder_peaks(tree: &TaskTree) -> (Vec<f64>, Vec<Vec<NodeId>>) {
@@ -305,12 +300,6 @@ mod tests {
         // order children of r by P-f: x: 8-2 = 6, y: 9-4 = 5 -> x first
         // P_r = max(8, 2 + 9, 2 + 4 + 0 + 1) = 11
         assert_eq!(best_postorder(&t).peak, 11.0);
-    }
-
-    #[test]
-    fn value_only_matches_full() {
-        let t = TaskTree::complete(3, 4, 1.0, 2.0, 0.5);
-        assert_eq!(best_postorder_peak(&t), best_postorder(&t).peak);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The serving engine: sharded worker threads with per-worker scratch
-//! caches and same-tree request batching.
+//! buffers and same-tree request batching.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -114,10 +114,11 @@ pub struct ServeStats {
     pub requests: u64,
     /// Same-tree batches dispatched to workers.
     pub batches: u64,
-    /// Reference traversals computed across all worker scratches.
+    /// Reference traversals the workers computed: requests that found
+    /// their tree's memo empty and filled it.
     pub traversal_computes: u64,
-    /// Traversals answered from warm scratch caches — each one is a full
-    /// `O(n log n)` traversal (and its allocations) avoided.
+    /// Reference traversals read from their tree's memo — each one is a
+    /// full `O(n log n)` traversal (and its allocations) avoided.
     pub traversal_reuses: u64,
     /// Subtrees scheduled through a borrowed view — each one is a subtree
     /// `TaskTree` clone (and its allocations) avoided.
@@ -234,8 +235,9 @@ pub const MAX_WORKERS: usize = 256;
 /// the queued window across the worker threads (grouped by tree, routed by
 /// tree fingerprint) and blocks until every result is back, returning them
 /// in submission order. The engine survives any number of submit/drain
-/// cycles; worker caches stay warm across drains because the fingerprint
-/// routing always sends a given tree to the same worker.
+/// cycles. A tree's reference traversal is memoized in the tree itself, so
+/// every request on the same tree allocation reuses it, whichever worker
+/// serves it and in whichever drain.
 pub struct ServeEngine {
     txs: Vec<Sender<Batch>>,
     results_rx: Receiver<ServeResult>,
@@ -310,7 +312,7 @@ impl ServeEngine {
     /// Queued requests are grouped by the structural fingerprint of their
     /// tree — one batch per distinct tree, in first-appearance order — and
     /// each batch goes to the worker picked by the fingerprint's high bits,
-    /// keeping same-tree traffic on one warm scratch.
+    /// so same-tree traffic runs back to back on one worker.
     ///
     /// A dead worker (a user scheduler panicked — the built-in schedulers
     /// return typed errors instead) never hangs or fails the drain: batches
@@ -367,8 +369,7 @@ impl ServeEngine {
                 .collect();
             let mut batch = batch;
             let mut sent_to = None;
-            // reroute to the next live worker when the preferred one died;
-            // the cold scratch costs a recompute, not a failure
+            // reroute to the next live worker when the preferred one died
             for k in 0..workers {
                 let w = (preferred + k) % workers;
                 if self.handles[w].is_finished() {
@@ -597,19 +598,10 @@ fn serve_one(
         }
         Err(e) => (request.scheduler.clone(), Err(e)),
     };
-    let outcome = outcome.map(|outcome| {
-        // the diagnostics already carry the reference peak when the request
-        // used the default traversal; only off-default requests pay for a
-        // fresh reference computation
-        let mem_ref = match outcome.diagnostics.seq_peak {
-            Some(peak) if req.seq == SeqAlgo::default() => peak,
-            _ => memory_reference(tree),
-        };
-        ServeOutcome {
-            ms_lb: makespan_lower_bound_on(tree, &req.platform),
-            mem_ref,
-            outcome,
-        }
+    let outcome = outcome.map(|outcome| ServeOutcome {
+        ms_lb: makespan_lower_bound_on(tree, &req.platform),
+        mem_ref: memory_reference(tree),
+        outcome,
     });
     ServeResult {
         index,
@@ -787,8 +779,8 @@ mod tests {
 
     #[test]
     fn sharding_keeps_tree_affinity_across_drains() {
-        // same tree drained twice: the second drain must still hit the
-        // first drain's warm cache (fingerprint routing is stable)
+        // same tree drained twice: the second drain reads the traversal
+        // the first drain memoized in the tree
         let mut engine = ServeEngine::new(SchedulerRegistry::standard(), 4);
         let tree = Arc::new(TaskTree::complete(2, 5, 1.0, 1.0, 0.0));
         for _ in 0..2 {
@@ -807,7 +799,7 @@ mod tests {
         assert_eq!(stats.batches, 2, "one batch per drain");
         assert_eq!(
             stats.traversal_computes, 1,
-            "second drain reuses the first drain's cache"
+            "second drain reuses the first drain's traversal"
         );
     }
 
@@ -820,7 +812,8 @@ mod tests {
         engine.submit(ServeRequest::new(b, "deepest", Platform::new(4)));
         engine.drain();
         assert_eq!(engine.stats().batches, 1, "structural identity batches");
-        assert_eq!(engine.stats().traversal_computes, 1);
+        // the memo belongs to a tree in memory, so each allocation computes
+        assert_eq!(engine.stats().traversal_computes, 2);
     }
 
     #[test]

@@ -6,17 +6,16 @@
 //! service for request *streams*:
 //!
 //! * [`ServeEngine`] — N long-lived worker threads, each owning its own
-//!   [`treesched_core::Scratch`], so the per-tree traversal/depth caches
-//!   and list-scheduling buffers are reused across requests instead of
-//!   re-allocated per call;
+//!   [`treesched_core::Scratch`], so the list-scheduling, split and
+//!   evaluator buffers are reused across requests instead of re-allocated
+//!   per call; the reference traversal is memoized in each tree
+//!   ([`treesched_core::SeqAlgo::reference`]), so it is computed once per
+//!   tree, not once per request;
 //! * **sharding** — requests are routed to workers by the structural
 //!   [`treesched_core::tree_fingerprint`] of their tree, so repeat traffic
-//!   for one tree always lands on the worker whose caches are already
-//!   warm;
+//!   for one tree always lands on the same worker;
 //! * **batching** — within one [`ServeEngine::drain`] window, requests for
-//!   the same tree are grouped into a single batch, so the cached
-//!   reference traversal is computed once per batch instead of once per
-//!   request;
+//!   the same tree are grouped into a single batch and run back to back;
 //! * **determinism** — results come back ordered by submission index, and
 //!   every scheduler in the registry is deterministic per request, so the
 //!   output stream is byte-identical no matter how many workers serve it.

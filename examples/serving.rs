@@ -55,7 +55,7 @@ fn main() {
         engine.workers()
     );
     println!(
-        "reference traversals: {} computed, {} served from warm caches",
+        "reference traversals: {} computed, {} read from the trees' memos",
         stats.traversal_computes, stats.traversal_reuses
     );
 
