@@ -799,7 +799,7 @@ mod tests {
         assert_eq!(stats.batches, 2, "one batch per drain");
         assert_eq!(
             stats.traversal_computes, 1,
-            "second drain reuses the first drain's traversal"
+            "second drain reuses the first drain's cache"
         );
     }
 
