@@ -2163,6 +2163,87 @@ mod tests {
     }
 
     #[test]
+    fn scratch_survives_tree_and_algo_changes() {
+        // interleave trees and algorithms through one scratch: buffers left
+        // by the previous request must not leak into the next one (a leak
+        // would produce invalid schedules, caught by the outcome evaluation,
+        // or differ from a fresh clone with an empty memo)
+        let trees = [
+            TaskTree::fork(9, 1.0, 1.0, 0.0),
+            TaskTree::complete(2, 5, 1.0, 1.0, 0.0),
+            TaskTree::chain(12, 2.0, 1.0, 0.5),
+        ];
+        let r = SchedulerRegistry::standard();
+        let mut scratch = Scratch::new();
+        for algo in [SeqAlgo::BestPostorder, SeqAlgo::LiuExact] {
+            for t in &trees {
+                for e in r.iter() {
+                    let platform = Platform::new(4).with_memory_cap(1e12);
+                    let req = Request::new(t, platform.clone()).with_seq(algo);
+                    let out = e.scheduler().schedule(&req, &mut scratch).unwrap();
+                    assert!(out.schedule.validate(t).is_ok(), "{}", e.name());
+                    assert!(out.eval.makespan > 0.0);
+                    let fresh = t.clone();
+                    let once = e
+                        .scheduler()
+                        .schedule_once(&Request::new(&fresh, platform).with_seq(algo))
+                        .unwrap();
+                    assert_eq!(out.schedule, once.schedule, "{}", e.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_warm_scratch_tells_child_orders_apart() {
+        // `subtree` numbers nodes in DFS pop order, so its child lists run
+        // descending; `from_parents` on the same parents and weights builds
+        // ascending ones, and the naive postorder follows the stored order
+        let base = TaskTree::from_parents(
+            &[None, Some(0), Some(0), Some(0), Some(1), Some(1), Some(2)],
+            &[1.0, 2.0, 3.0, 1.0, 4.0, 2.0, 5.0],
+            &[1.0, 3.0, 2.0, 5.0, 1.0, 4.0, 2.0],
+            &[0.0, 0.5, 0.0, 1.0, 0.0, 0.0, 0.5],
+        )
+        .unwrap();
+        let (desc, _) = base.subtree(base.root());
+        let parents: Vec<Option<usize>> = desc
+            .ids()
+            .map(|i| desc.parent(i).map(NodeId::index))
+            .collect();
+        let column =
+            |f: fn(&TaskTree, NodeId) -> f64| desc.ids().map(|i| f(&desc, i)).collect::<Vec<_>>();
+        let asc = TaskTree::from_parents(
+            &parents,
+            &column(TaskTree::work),
+            &column(TaskTree::output),
+            &column(TaskTree::exec),
+        )
+        .unwrap();
+        assert_ne!(desc.children(desc.root()), asc.children(asc.root()));
+        assert_ne!(tree_fingerprint(&desc), tree_fingerprint(&asc));
+        let r = SchedulerRegistry::standard();
+        for entry in r.iter() {
+            for p in [1, 2, 3] {
+                let platform = Platform::new(p).with_memory_cap(1e6);
+                let req = |t| Request::new(t, platform.clone()).with_seq(SeqAlgo::NaivePostorder);
+                let mut warm = Scratch::new();
+                let _ = entry.scheduler().schedule(&req(&desc), &mut warm);
+                let warm = entry.scheduler().schedule(&req(&asc), &mut warm);
+                // a clone starts with an empty memo, so nothing carries over
+                let fresh = asc.clone();
+                let fresh = entry.scheduler().schedule_once(&req(&fresh));
+                assert_eq!(
+                    warm.map(|o| o.schedule),
+                    fresh.map(|o| o.schedule),
+                    "{} on p = {p}",
+                    entry.name()
+                );
+            }
+        }
+    }
+
+    #[test]
     fn scratch_counts_traversal_reuse() {
         let t = sample();
         let r = SchedulerRegistry::standard();
