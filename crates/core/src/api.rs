@@ -1118,8 +1118,8 @@ impl Outcome {
 ///
 /// * the encoded **priority keys** and the list scheduler's queues/tables
 ///   (see [`ListScratch`]) are cleared, not re-allocated;
-/// * the subtree heuristics' split heaps and view buffers (see
-///   [`SubtreeScratch`]) are reused the same way;
+/// * the subtree heuristics' split replay heaps and exact-traversal view
+///   buffers (see [`SubtreeScratch`]) are reused the same way;
 /// * the **evaluator**'s sort keys and per-processor/per-domain tables,
 ///   through which every built-in scheduler validates its schedule and
 ///   sweeps its memory, are reused across calls, so a warm scratch
@@ -1496,10 +1496,10 @@ impl Scheduler for ListSched {
         let tree = req.tree;
         let reference = scratch.reference(tree, req.seq);
         let pos = &reference.pos;
-        let (depths, wdepths) = match self.kind {
-            ListKind::InnerFirst => (tree.depths(), Vec::new()),
-            ListKind::DeepestFirst | ListKind::Cp => (Vec::new(), tree.weighted_depths()),
-            ListKind::Fifo | ListKind::Random => (Vec::new(), Vec::new()),
+        let (depths, wdepths): (&[u32], &[f64]) = match self.kind {
+            ListKind::InnerFirst => (tree.depths(), &[]),
+            ListKind::DeepestFirst | ListKind::Cp => (&[], tree.weighted_depths()),
+            ListKind::Fifo | ListKind::Random => (&[], &[]),
         };
         let Scratch {
             keys,
@@ -2159,7 +2159,11 @@ mod tests {
             tree_fingerprint(&a),
             tree_fingerprint(&TaskTree::chain(5, 1.0, 1.0, 0.0))
         );
-        assert_ne!(tree_fingerprint(&a), 0, "0 is the empty-scratch sentinel");
+        assert_eq!(
+            tree_fingerprint(&a) & 1,
+            1,
+            "the low bit is always set, so serve routing reads the high bits"
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use crate::listsched::Speeds;
 use crate::schedule::{Placement, Schedule};
 use crate::split::{split_subtrees_in, SplitScratch};
-use treesched_model::{MemoTraversal, NodeId, SubtreeView, TaskTree};
+use treesched_model::{MemoPostorder, MemoTraversal, NodeId, SubtreeView, TaskTree};
 use treesched_seq::{
     best_postorder_view, liu_exact_view, naive_postorder_view, LiuScratch, TraversalResult,
     ViewScratch,
@@ -59,6 +59,38 @@ impl SeqAlgo {
         })
     }
 
+    /// This algorithm's traversal of every subtree at once, memoized in
+    /// the tree: a whole-tree postorder whose slice
+    /// [`MemoPostorder::subtree`] at `r` is the algorithm's order of the
+    /// [`TaskTree::subtree`] clone at `r`, mapped back to original ids.
+    /// The first call per tree runs the view traversal
+    /// ([`best_postorder_view`], [`naive_postorder_view`]) once at the
+    /// root. It ties siblings by reverse child position, as every subtree
+    /// view does, so no subtree root changes its choices. `None` for
+    /// [`SeqAlgo::LiuExact`], whose orders are not postorders. The first
+    /// call runs on `sub`'s buffers.
+    pub fn subtree_orders<'t>(
+        self,
+        tree: &'t TaskTree,
+        sub: &mut SubtreeScratch,
+    ) -> Option<&'t MemoPostorder> {
+        type Emit = fn(&SubtreeView<'_>, &mut ViewScratch, &mut Vec<NodeId>);
+        let (slot, emit): (usize, Emit) = match self {
+            SeqAlgo::BestPostorder => (0, best_postorder_view),
+            SeqAlgo::NaivePostorder => (1, naive_postorder_view),
+            SeqAlgo::LiuExact => return None,
+        };
+        Some(tree.memo_postorder(slot, |tree| {
+            let SubtreeScratch {
+                dfs, nodes, view, ..
+            } = sub;
+            tree.subtree_nodes_into(tree.root(), dfs, nodes);
+            let mut order = Vec::with_capacity(tree.len());
+            emit(&SubtreeView::new(tree, nodes), view, &mut order);
+            order
+        }))
+    }
+
     /// The stable wire name used by the CLI `--seq` flag and the serving
     /// JSONL protocol.
     pub fn name(self) -> &'static str {
@@ -82,20 +114,23 @@ impl SeqAlgo {
 
 /// Reusable buffers for the per-subtree scheduling phases.
 ///
-/// Every sequential sub-algorithm — the two postorders *and*
-/// [`SeqAlgo::LiuExact`] — runs on a borrowed [`SubtreeView`] over these
-/// buffers instead of cloning each subtree into a fresh `TaskTree`.
+/// No subtree is cloned into a fresh `TaskTree`. The two postorders read
+/// each subtree's order as a slice of the tree's memoized
+/// [`SeqAlgo::subtree_orders`], computed once per tree over these
+/// buffers; [`SeqAlgo::LiuExact`] runs on a borrowed [`SubtreeView`] over
+/// them for every subtree.
 #[derive(Clone, Debug, Default)]
 pub struct SubtreeScratch {
     /// DFS work stack for [`TaskTree::subtree_nodes_into`].
     dfs: Vec<NodeId>,
     /// Subtree membership in clone-DFS order (the view's node list).
     nodes: Vec<NodeId>,
-    /// Traversal order of the current subtree, in original ids.
+    /// Exact traversal order of the current subtree, in original ids.
     order: Vec<NodeId>,
-    /// Buffers of the view-based postorder algorithms.
+    /// Buffers of the view-based postorders, run once per tree.
     view: ViewScratch,
-    /// The `SplitSubtrees` queue heaps and pop sequence.
+    /// The `SplitSubtrees` replay heaps (the per-tree pass lives in the
+    /// tree).
     split: SplitScratch,
     /// Chain storage of the view-based exact algorithm.
     liu: LiuScratch,
@@ -111,7 +146,8 @@ impl SubtreeScratch {
         SubtreeScratch::default()
     }
 
-    /// Number of subtrees scheduled through a borrowed view (no clone).
+    /// Number of subtrees scheduled without a clone (a memoized slice or
+    /// a borrowed view).
     pub fn subtree_views(&self) -> u64 {
         self.views
     }
@@ -134,23 +170,21 @@ fn schedule_subtree(
     sub: &mut SubtreeScratch,
 ) -> f64 {
     sub.views += 1;
-    let SubtreeScratch {
-        dfs,
-        nodes,
-        order,
-        view,
-        liu,
-        ..
-    } = sub;
-    tree.subtree_nodes_into(r, dfs, nodes);
-    let v = SubtreeView::new(tree, nodes);
-    match seq {
-        SeqAlgo::BestPostorder => best_postorder_view(&v, view, order),
-        SeqAlgo::NaivePostorder => naive_postorder_view(&v, view, order),
-        SeqAlgo::LiuExact => {
-            liu_exact_view(&v, liu, order);
+    let order = match seq.subtree_orders(tree, sub) {
+        Some(orders) => orders.subtree(r),
+        None => {
+            let SubtreeScratch {
+                dfs,
+                nodes,
+                order,
+                liu,
+                ..
+            } = sub;
+            tree.subtree_nodes_into(r, dfs, nodes);
+            liu_exact_view(&SubtreeView::new(tree, nodes), liu, order);
+            order
         }
-    }
+    };
     let mut t = start;
     for &orig in order.iter() {
         member[orig.index()] = true;
@@ -244,6 +278,11 @@ fn sort_heaviest_first(roots: &mut [NodeId], subtree_w: &[f64]) {
 /// order of the whole-tree traversal produced by `seq` (memoized in the
 /// tree, see [`SeqAlgo::reference`]).
 ///
+/// Per call, only the split's replay at `p` runs: the split's per-tree
+/// pass and, under the two postorders, every subtree's order
+/// ([`SeqAlgo::subtree_orders`]) are memoized in the tree by the first
+/// call on it.
+///
 /// The split reasons in platform-independent *work* units; placement is
 /// speed-aware. On [`Speeds::Unit`] the `k`-th subtree of the split runs on
 /// processor `k`. On [`Speeds::Per`] the subtrees are matched
@@ -268,9 +307,9 @@ pub fn par_subtrees(
     let p = speeds.count();
     assert!(p > 0, "need at least one processor");
     let (subtree_w, global) = (tree.subtree_work(), &seq.reference(tree).0.order);
-    let mut split = split_subtrees_in(tree, p as usize, &subtree_w, &mut sub.split);
+    let mut split = split_subtrees_in(tree, p as usize, &mut sub.split);
     if let Speeds::Per(_) = speeds {
-        sort_heaviest_first(&mut split.parallel_roots, &subtree_w);
+        sort_heaviest_first(&mut split.parallel_roots, subtree_w);
     }
     rank_procs(speeds, &mut sub.procs);
     let n = tree.len();
@@ -310,7 +349,8 @@ pub fn par_subtrees(
 /// it finishes earliest, `load + W / speed`, ties to the faster then
 /// lower-indexed processor), each processor running its subtrees back to
 /// back. The popped nodes then run sequentially on the fastest processor.
-/// Arguments as for [`par_subtrees`].
+/// Arguments, and the per-tree facts it reads from the tree's memo, as
+/// for [`par_subtrees`].
 ///
 /// This improves the makespan at the price of a (usually slight) memory
 /// increase, as the paper's experiments show.
@@ -327,14 +367,14 @@ pub fn par_subtrees_optim(
     let p = speeds.count();
     assert!(p > 0, "need at least one processor");
     let (subtree_w, global) = (tree.subtree_work(), &seq.reference(tree).0.order);
-    let split = split_subtrees_in(tree, p as usize, &subtree_w, &mut sub.split);
+    let split = split_subtrees_in(tree, p as usize, &mut sub.split);
     let mut roots: Vec<NodeId> = split
         .parallel_roots
         .iter()
         .chain(&split.surplus_roots)
         .copied()
         .collect();
-    sort_heaviest_first(&mut roots, &subtree_w);
+    sort_heaviest_first(&mut roots, subtree_w);
     rank_procs(speeds, &mut sub.procs);
     let n = tree.len();
     let mut placements = blank_placements(n);

@@ -14,68 +14,79 @@
 //! phase). The recorded splitting with minimal cost is returned; by the
 //! paper's Lemma 1 it is makespan-optimal for the `ParSubtrees` scheme.
 //!
-//! Complexity: `O(n log n)` for any `p` (the paper's analysis gives
-//! `O(n(log n + p))`): one pass of `O(n)` heap operations, then one sort
-//! of the chosen splitting's subtree roots. `SplitScratch` keeps three binary
-//! heaps over the queue: all of it (its maximum is the head), the `p`
-//! largest elements (minimum first, to find the element a larger newcomer
-//! pushes out) and the rest (maximum first, to find the element promoted
-//! when the head is popped). Popped nodes leave the top-`p` heap lazily:
-//! their entries are skipped when they surface. The pass records the pop
-//! sequence; the chosen splitting is the queue after the best step,
-//! rebuilt from the first pops and sorted once.
+//! Only the surplus sum depends on `p`: the pop sequence, the popped work
+//! and the head are the same for every processor count. So the work is
+//! cut in two:
+//!
+//! * a **per-tree pass**, memoized in the tree ([`TaskTree::memo_split`]),
+//!   ranks every node by its queue key `(W, w, id)` as a `u32` and pops
+//!   the queue to the end, recording its head at every step. `O(n log n)`:
+//!   one sort and `O(n)` heap operations.
+//! * a **per-request replay** runs the pop sequence over two heaps of
+//!   ranks: the `p` largest queued keys (minimum first, to find the key a
+//!   larger newcomer pushes out) and the rest (maximum first, to find the
+//!   key promoted when the head is popped), keeping the running surplus
+//!   sum. Popped nodes leave the top-`p` heap lazily: their entries are
+//!   skipped when they surface. The sum adds and subtracts the same
+//!   elements in the same order as a queue of keys would, so every cost is
+//!   bit-identical. The chosen splitting is the queue after the best step,
+//!   rebuilt from the first pops and sorted once. `O(n log p)` for the
+//!   replay plus `O(q log q)` for the `q` subtrees of the chosen step.
+//!
+//! Against the paper's `O(n(log n + p))` per call, a request pays
+//! `O(n log p)` once the tree's pass is memoized, and `O(n log n)` when it
+//! is not.
 
 use crate::listsched::TotalF64;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use treesched_model::{NodeId, TaskTree};
+use treesched_model::{MemoSplit, NodeId, TaskTree};
 
 /// Priority-queue key: non-increasing `W_i`, ties by non-increasing `w_i`
 /// (paper §5.1), final tie by id. The largest key is the head.
 type Key = (TotalF64, TotalF64, u32);
 
-/// Reusable buffers of `SplitSubtrees`: the queue as three heaps, the
-/// running `Σ W` beyond the `p` largest, and the pop sequence. Held by
-/// [`crate::SubtreeScratch`], so a warm caller splits without re-allocating
-/// the queue.
+/// Reusable buffers of the per-request replay: the queue as two heaps of
+/// ranks, the running `Σ W` beyond the `p` largest, and the chosen step's
+/// queue. Held by [`crate::SubtreeScratch`], so a warm caller splits
+/// without re-allocating them, and the per-tree pass borrows them too, so
+/// the only arrays it allocates are the ones the tree keeps.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct SplitScratch {
-    /// Every queued key; its maximum is the head.
-    queue: BinaryHeap<Key>,
-    /// The `p` largest queued keys, minimum first, plus stale entries of
-    /// popped nodes (skipped when they surface).
-    top: BinaryHeap<Reverse<Key>>,
+    /// The ranks of the `p` largest queued keys, minimum first, plus stale
+    /// entries of popped nodes (skipped when they surface).
+    top: BinaryHeap<Reverse<u32>>,
     /// Live entries in `top`.
     top_len: usize,
-    /// The queued keys beyond the `p` largest, maximum first.
-    rest: BinaryHeap<Key>,
+    /// The ranks of the queued keys beyond the `p` largest, maximum first;
+    /// the whole queue during the per-tree pass.
+    rest: BinaryHeap<u32>,
     /// Running `Σ W_i` over `rest`, in the order elements enter and leave.
     rest_w_sum: f64,
-    /// Popped nodes in pop order.
-    popped: Vec<NodeId>,
-    /// `true` for popped nodes while a split runs; all `false` between
-    /// calls.
+    /// `true` for the ranks of popped nodes while a split runs; all
+    /// `false` between calls.
     gone: Vec<bool>,
-    /// The queue after the best step, largest key first.
-    frontier: Vec<Key>,
+    /// The ranks queued after the best step, largest first; the heads'
+    /// ranks during the per-tree pass.
+    frontier: Vec<u32>,
+    /// Every node's key, sorted by the per-tree pass.
+    keys: Vec<Key>,
 }
 
 impl SplitScratch {
     fn reset(&mut self, n: usize) {
-        self.queue.clear();
         self.top.clear();
         self.top_len = 0;
         self.rest.clear();
         self.rest_w_sum = 0.0;
-        self.popped.clear();
         if self.gone.len() < n {
             self.gone.resize(n, false);
         }
     }
 
-    /// Queues `k`, keeping `top` at the `p` largest keys.
-    fn insert(&mut self, p: usize, k: Key) {
-        self.queue.push(k);
+    /// Queues rank `k`, keeping `top` at the `p` largest; `w` reads a
+    /// rank's `W`.
+    fn insert(&mut self, p: usize, k: u32, w: impl Fn(u32) -> f64) {
         // invariant: `rest` is nonempty only while `top` holds `p` elements,
         // so filling `top` first never strands a larger key in `rest`
         debug_assert!(self.rest.is_empty() || self.top_len == p);
@@ -84,7 +95,7 @@ impl SplitScratch {
             self.top_len += 1;
             return;
         }
-        while self.gone[self.top.peek().expect("top nonempty when full").0 .2 as usize] {
+        while self.gone[self.top.peek().expect("top nonempty when full").0 as usize] {
             self.top.pop();
         }
         let mut min_top = self.top.peek_mut().expect("top nonempty when full");
@@ -98,27 +109,19 @@ impl SplitScratch {
         };
         drop(min_top);
         self.rest.push(demoted);
-        self.rest_w_sum += demoted.0 .0;
+        self.rest_w_sum += w(demoted);
     }
 
-    /// The head of the queue: the globally largest key.
-    fn head(&self) -> Option<Key> {
-        self.queue.peek().copied()
-    }
-
-    /// Pops the head (always in `top`) and promotes the largest of `rest`.
-    fn pop_head(&mut self) -> NodeId {
-        let k = self.queue.pop().expect("pop from nonempty queue");
-        let v = node_of(k);
-        self.gone[v.index()] = true;
-        self.popped.push(v);
+    /// Pops the head `k` (the largest key, always in `top`) and promotes
+    /// the largest of `rest`.
+    fn pop_head(&mut self, k: u32, w: impl Fn(u32) -> f64) {
+        self.gone[k as usize] = true;
         self.top_len -= 1;
         if let Some(promote) = self.rest.pop() {
-            self.rest_w_sum -= promote.0 .0;
+            self.rest_w_sum -= w(promote);
             self.top.push(Reverse(promote));
             self.top_len += 1;
         }
-        v
     }
 }
 
@@ -150,97 +153,142 @@ fn key_of(tree: &TaskTree, subtree_w: &[f64], v: NodeId) -> Key {
     )
 }
 
-/// Node id back out of a key.
-fn node_of(k: Key) -> NodeId {
-    NodeId(k.2)
+/// The per-tree pass: ranks every node by its key, then pops the queue
+/// (the head is its largest rank) until the head is a single task,
+/// recording every head.
+fn split_pass(tree: &TaskTree, subtree_w: &[f64], pq: &mut SplitScratch) -> MemoSplit {
+    let SplitScratch {
+        rest: queue,
+        frontier: heads,
+        keys,
+        ..
+    } = pq;
+    keys.clear();
+    keys.extend(tree.ids().map(|v| key_of(tree, subtree_w, v)));
+    keys.sort_unstable();
+    let by_rank: Vec<NodeId> = keys.iter().map(|k| NodeId(k.2)).collect();
+    let mut rank = vec![0u32; tree.len()];
+    for (r, v) in by_rank.iter().enumerate() {
+        rank[v.index()] = r as u32;
+    }
+    queue.clear();
+    queue.push(rank[tree.root().index()]);
+    heads.clear();
+    loop {
+        // a popped node has `W > w`, so it has children
+        let top = *queue.peek().expect("queue never empties");
+        heads.push(top);
+        let head = by_rank[top as usize];
+        if subtree_w[head.index()] <= tree.work(head) {
+            break; // head subtree is a single task (or zero-work chain)
+        }
+        queue.pop();
+        queue.extend(tree.children(head).iter().map(|c| rank[c.index()]));
+    }
+    MemoSplit {
+        heads: heads.iter().map(|&r| by_rank[r as usize]).collect(),
+        rank,
+        by_rank,
+    }
 }
 
-/// Runs Algorithm 2 and returns the cost-minimal splitting.
+/// Runs Algorithm 2 and returns the cost-minimal splitting. The per-tree
+/// pass is memoized in `tree`, so later calls, at any `p`, only replay it.
 ///
 /// # Panics
 ///
 /// Panics when `p == 0`.
 pub fn split_subtrees(tree: &TaskTree, p: usize) -> Split {
-    let subtree_w = tree.subtree_work();
-    split_subtrees_with_work(tree, p, &subtree_w)
+    split_subtrees_in(tree, p, &mut SplitScratch::default())
 }
 
 /// [`split_subtrees`] with caller-supplied subtree weights
-/// (`tree.subtree_work()`), so hot callers can reuse one computation across
-/// processor counts and splitting passes.
+/// (`tree.subtree_work()`): runs the per-tree pass over them afresh, then
+/// the same replay.
 ///
 /// # Panics
 ///
 /// Panics when `p == 0`.
 pub fn split_subtrees_with_work(tree: &TaskTree, p: usize, subtree_w: &[f64]) -> Split {
-    split_subtrees_in(tree, p, subtree_w, &mut SplitScratch::default())
+    let mut pq = SplitScratch::default();
+    let pass = split_pass(tree, subtree_w, &mut pq);
+    replay(tree, &pass, subtree_w, p, &mut pq)
 }
 
-/// [`split_subtrees_with_work`] over reused buffers.
-pub(crate) fn split_subtrees_in(
+/// [`split_subtrees`] over reused buffers.
+pub(crate) fn split_subtrees_in(tree: &TaskTree, p: usize, pq: &mut SplitScratch) -> Split {
+    let subtree_w = tree.subtree_work();
+    let pass = tree.memo_split(|tree| split_pass(tree, subtree_w, pq));
+    replay(tree, pass, subtree_w, p, pq)
+}
+
+/// The per-request replay of `pass` at `p` processors.
+fn replay(
     tree: &TaskTree,
-    p: usize,
+    pass: &MemoSplit,
     subtree_w: &[f64],
+    p: usize,
     pq: &mut SplitScratch,
 ) -> Split {
     assert!(p > 0, "need at least one processor");
-    let key = |v: NodeId| key_of(tree, subtree_w, v);
+    let MemoSplit {
+        rank,
+        by_rank,
+        heads,
+    } = pass;
+    let w = |r: u32| subtree_w[by_rank[r as usize].index()];
+    let rank_of = |v: NodeId| rank[v.index()];
+    let root = tree.root();
     pq.reset(tree.len());
-    pq.insert(p, key(tree.root()));
+    pq.insert(p, rank_of(root), w);
     let mut seq_w = 0.0f64;
-    let mut best = (0usize, subtree_w[tree.root().index()]);
+    let mut best = (0usize, subtree_w[root.index()]);
     // every step is scored: the surplus sum is a running float sum that can
     // fall below its true value, so no cost bound ends the pass early
-    loop {
-        let (TotalF64(w_sub), TotalF64(w_node), _) = pq.head().expect("queue never empties");
-        if w_sub <= w_node {
-            break; // head subtree is a single task (or zero-work chain)
+    for (step, pair) in heads.windows(2).enumerate() {
+        let (v, head) = (pair[0], pair[1]);
+        pq.pop_head(rank_of(v), w);
+        seq_w += tree.work(v);
+        for &c in tree.children(v) {
+            pq.insert(p, rank_of(c), w);
         }
-        let popped = pq.pop_head();
-        seq_w += tree.work(popped);
-        for &c in tree.children(popped) {
-            pq.insert(p, key(c));
-        }
-        let head_w = pq.head().map_or(0.0, |k| k.0 .0);
-        let cost = head_w + seq_w + pq.rest_w_sum;
+        let cost = subtree_w[head.index()] + seq_w + pq.rest_w_sum;
         if cost < best.1 {
-            best = (pq.popped.len(), cost);
+            best = (step + 1, cost);
         }
     }
+    let pops = &heads[..heads.len() - 1];
     let (steps, cost) = best;
 
     // the queue after `steps` pops: the root, or the children of the first
     // `steps` pops that are not among them
-    let SplitScratch {
-        popped,
-        gone,
-        frontier,
-        ..
-    } = pq;
-    for &v in &popped[steps..] {
-        gone[v.index()] = false;
+    let SplitScratch { gone, frontier, .. } = pq;
+    for &v in &pops[steps..] {
+        gone[rank_of(v) as usize] = false;
     }
     frontier.clear();
     if steps == 0 {
-        frontier.push(key(tree.root()));
+        frontier.push(rank_of(root));
     }
-    for &v in &popped[..steps] {
+    for &v in &pops[..steps] {
         frontier.extend(
             tree.children(v)
                 .iter()
-                .filter(|c| !gone[c.index()])
-                .map(|&c| key(c)),
+                .map(|&c| rank_of(c))
+                .filter(|&r| !gone[r as usize]),
         );
     }
-    for &v in &popped[..steps] {
-        gone[v.index()] = false;
+    for &v in &pops[..steps] {
+        gone[rank_of(v) as usize] = false;
     }
     frontier.sort_unstable_by(|a, b| b.cmp(a));
     let (top, rest) = frontier.split_at(p.min(frontier.len()));
+    let nodes =
+        |ranks: &[u32]| -> Vec<NodeId> { ranks.iter().map(|&r| by_rank[r as usize]).collect() };
     Split {
-        parallel_roots: top.iter().map(|&k| node_of(k)).collect(),
-        surplus_roots: rest.iter().map(|&k| node_of(k)).collect(),
-        seq_nodes: popped[..steps].to_vec(),
+        parallel_roots: nodes(top),
+        surplus_roots: nodes(rest),
+        seq_nodes: pops[..steps].to_vec(),
         cost,
         steps,
     }
@@ -410,8 +458,8 @@ mod tests {
             let w = t.subtree_work();
             for p in [1, 2, 3, 5, 64] {
                 assert_eq!(
-                    split_subtrees_in(t, p, &w, &mut warm),
-                    split_subtrees_with_work(t, p, &w)
+                    split_subtrees_in(t, p, &mut warm),
+                    split_subtrees_with_work(t, p, w)
                 );
                 assert!(warm.gone.iter().all(|&g| !g));
             }

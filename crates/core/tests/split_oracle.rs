@@ -8,6 +8,9 @@
 //! random trees (integer works with zeros, zero-work chains, equal-`W`
 //! ties, works of mixed magnitude whose running sums round) at small,
 //! tree-sized and huge processor counts, and over the medium corpus.
+//! `split_subtrees_with_work` runs the per-tree pass afresh on every call;
+//! `split_subtrees` replays the pass memoized in the tree, so one tree
+//! also runs every processor count, shuffled, through that one pass.
 //! Cases derive from `PROPTEST_SEED`; `PROPTEST_CASES` raises the count.
 
 use proptest::prelude::*;
@@ -157,8 +160,8 @@ fn reference_split(tree: &TaskTree, p: usize, subtree_w: &[f64]) -> Split {
 /// equal by its bits.
 fn check(what: &str, tree: &TaskTree, p: usize) -> Result<(), TestCaseError> {
     let w = tree.subtree_work();
-    let got = split_subtrees_with_work(tree, p, &w);
-    let want = reference_split(tree, p, &w);
+    let got = split_subtrees_with_work(tree, p, w);
+    let want = reference_split(tree, p, w);
     prop_assert_eq!(
         &got.parallel_roots,
         &want.parallel_roots,
@@ -265,6 +268,33 @@ proptest! {
             check(&format!("shape {shape}, n={n}"), &tree, p)?;
         }
     }
+
+    #[test]
+    fn the_memoized_pass_replays_like_the_oracle(
+        n in 1usize..80,
+        shape in 0usize..4,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut rng = Mix(seed);
+        let tree = random_tree(n, shape, &mut rng);
+        let mut ps = [1, 2, 3, 4, 8, 16, n, n + 1, 65536];
+        for k in (1..ps.len()).rev() {
+            ps.swap(k, rng.below(k + 1));
+        }
+        for p in ps {
+            let got = split_subtrees(&tree, p);
+            let want = reference_split(&tree, p, tree.subtree_work());
+            prop_assert_eq!(&got, &want, "shape {}, n={}, p={}", shape, n, p);
+            prop_assert_eq!(
+                got.cost.to_bits(),
+                want.cost.to_bits(),
+                "shape {}, n={}, p={}: cost",
+                shape,
+                n,
+                p
+            );
+        }
+    }
 }
 
 /// The lowest value the oracle's running surplus sum takes while it
@@ -272,7 +302,7 @@ proptest! {
 fn lowest_surplus(tree: &TaskTree, p: usize) -> f64 {
     let w = tree.subtree_work();
     let mut pq = TopP::new(p);
-    pq.insert(key_of(tree, &w, tree.root()));
+    pq.insert(key_of(tree, w, tree.root()));
     let mut lowest = 0.0f64;
     while let Some((TotalF64(w_sub), TotalF64(w_node), _)) = pq.head() {
         if w_sub <= w_node {
@@ -280,7 +310,7 @@ fn lowest_surplus(tree: &TaskTree, p: usize) -> f64 {
         }
         let popped = node_of(pq.pop_head());
         for &c in tree.children(popped) {
-            pq.insert(key_of(tree, &w, c));
+            pq.insert(key_of(tree, w, c));
         }
         lowest = lowest.min(pq.surplus_w());
     }
@@ -323,7 +353,7 @@ fn the_medium_corpus_splits_like_the_oracle() {
             check(&entry.name, &entry.tree, p).unwrap();
             assert_eq!(
                 split_subtrees(&entry.tree, p),
-                reference_split(&entry.tree, p, &entry.tree.subtree_work())
+                reference_split(&entry.tree, p, entry.tree.subtree_work())
             );
         }
     }

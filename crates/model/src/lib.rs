@@ -32,5 +32,8 @@ pub mod validate;
 
 pub use build::TreeBuilder;
 pub use stats::TreeStats;
-pub use tree::{MemoTraversal, NodeId, SubtreeView, TaskTree, TRAVERSAL_SLOTS};
+pub use tree::{
+    MemoPostorder, MemoSplit, MemoTraversal, NodeId, SubtreeView, TaskTree, POSTORDER_SLOTS,
+    TRAVERSAL_SLOTS,
+};
 pub use validate::{TreeError, ValidateExt};

@@ -4,9 +4,9 @@ use crate::TaskTree;
 
 impl TaskTree {
     /// Edge-depth of every node (root = 0), indexed by node id. Memoized
-    /// like [`TaskTree::fingerprint`]: later calls copy the stored array.
-    pub fn depths(&self) -> Vec<u32> {
-        let depths = self.memo.depths.get_or_init(|| {
+    /// like [`TaskTree::fingerprint`]: later calls borrow the stored array.
+    pub fn depths(&self) -> &[u32] {
+        self.memo.depths.get_or_init(|| {
             let mut d = vec![0u32; self.len()];
             for v in self.preorder() {
                 if let Some(p) = self.parent(v) {
@@ -14,13 +14,12 @@ impl TaskTree {
                 }
             }
             d
-        });
-        depths.clone()
+        })
     }
 
     /// Height of the tree in edges (max edge-depth of any node).
     pub fn height(&self) -> u32 {
-        self.depths().into_iter().max().unwrap_or(0)
+        self.depths().iter().copied().max().unwrap_or(0)
     }
 
     /// `w`-weighted depth of every node: the sum of `w` along the path from
@@ -28,16 +27,15 @@ impl TaskTree {
     /// “this path length includes the `w_i`”). The deepest node by this
     /// metric is the head of the critical path. Memoized like
     /// [`TaskTree::depths`].
-    pub fn weighted_depths(&self) -> Vec<f64> {
-        let depths = self.memo.weighted_depths.get_or_init(|| {
+    pub fn weighted_depths(&self) -> &[f64] {
+        self.memo.weighted_depths.get_or_init(|| {
             let mut d = vec![0.0f64; self.len()];
             for v in self.preorder() {
                 let up = self.parent(v).map_or(0.0, |p| d[p.index()]);
                 d[v.index()] = up + self.work(v);
             }
             d
-        });
-        depths.clone()
+        })
     }
 
     /// Length of the critical path: the largest `w`-weighted root-to-node
@@ -47,15 +45,15 @@ impl TaskTree {
         *self
             .memo
             .critical_path
-            .get_or_init(|| self.weighted_depths().into_iter().fold(0.0, f64::max))
+            .get_or_init(|| self.weighted_depths().iter().copied().fold(0.0, f64::max))
     }
 
     /// Total work `W_i` of each subtree (sum of `w_j` over the subtree rooted
     /// at `i`, including `i` itself), indexed by node id. Used by
     /// `SplitSubtrees` (paper Algorithm 2). Memoized like
     /// [`TaskTree::depths`].
-    pub fn subtree_work(&self) -> Vec<f64> {
-        let work = self.memo.subtree_work.get_or_init(|| {
+    pub fn subtree_work(&self) -> &[f64] {
+        self.memo.subtree_work.get_or_init(|| {
             let mut w = self.work.clone();
             for v in self.postorder() {
                 if let Some(p) = self.parent(v) {
@@ -63,8 +61,7 @@ impl TaskTree {
                 }
             }
             w
-        });
-        work.clone()
+        })
     }
 
     /// Number of nodes in each subtree (including the subtree root).

@@ -64,9 +64,12 @@ pub(crate) struct Node {
 ///
 /// Per-tree facts are memoized: [`TaskTree::fingerprint`],
 /// [`TaskTree::critical_path`], the per-node [`TaskTree::depths`],
-/// [`TaskTree::weighted_depths`] and [`TaskTree::subtree_work`], and up to
+/// [`TaskTree::weighted_depths`] and [`TaskTree::subtree_work`], up to
 /// [`TRAVERSAL_SLOTS`] sequential traversals
-/// ([`TaskTree::memo_traversal`]). Each is computed on first use, shared
+/// ([`TaskTree::memo_traversal`]), up to [`POSTORDER_SLOTS`] postorders
+/// sliced by subtree ([`TaskTree::memo_postorder`]) and the
+/// processor-count-independent pass of `SplitSubtrees`
+/// ([`TaskTree::memo_split`]). Each is computed on first use, shared
 /// by every later call on the same tree (and by every thread holding it),
 /// and reset by [`TaskTree::set_work`], [`TaskTree::set_output`] and
 /// [`TaskTree::set_exec`]. The memo is not part of the tree's value:
@@ -124,6 +127,48 @@ pub struct MemoTraversal {
     pub peak: f64,
 }
 
+/// Number of postorder slots in a tree's memo (see
+/// [`TaskTree::memo_postorder`]).
+pub const POSTORDER_SLOTS: usize = 2;
+
+/// A whole-tree postorder memoized in a [`TaskTree`], with each node's
+/// span in it. In a postorder every subtree is a contiguous run of the
+/// order that ends at its root, so [`MemoPostorder::subtree`] hands out
+/// any subtree's traversal as a slice, without a walk.
+#[derive(Clone, Debug, PartialEq)]
+pub struct MemoPostorder {
+    /// Execution order (children before parents, subtrees contiguous).
+    pub order: Vec<NodeId>,
+    /// Position of each node's first subtree member in `order`.
+    first: Vec<u32>,
+    /// Position of each node in `order` (its subtree's last).
+    pos: Vec<u32>,
+}
+
+impl MemoPostorder {
+    /// The subtree rooted at `r`, in the order's sequence.
+    #[inline]
+    pub fn subtree(&self, r: NodeId) -> &[NodeId] {
+        &self.order[self.first[r.index()] as usize..=self.pos[r.index()] as usize]
+    }
+}
+
+/// The processor-count-independent pass of `SplitSubtrees` (paper
+/// Algorithm 2), memoized in a [`TaskTree`] by
+/// `treesched_core::split`, which computes and replays it.
+#[derive(Clone, Debug, PartialEq)]
+pub struct MemoSplit {
+    /// Rank of each node's split key `(W_i, w_i, i)` among all keys,
+    /// smallest first; indexed by node id.
+    pub rank: Vec<u32>,
+    /// The node of each rank.
+    pub by_rank: Vec<NodeId>,
+    /// The queue's head at each step, in order. Every head but the last
+    /// is popped; the last is a single task (`W ≤ w`), where the pass
+    /// ends.
+    pub heads: Vec<NodeId>,
+}
+
 /// The memoized whole-tree facts of a [`TaskTree`]. Not part of the
 /// tree's value: clones start empty and every memo equals every other.
 #[derive(Default)]
@@ -134,6 +179,8 @@ pub(crate) struct Memo {
     pub(crate) weighted_depths: OnceLock<Vec<f64>>,
     pub(crate) subtree_work: OnceLock<Vec<f64>>,
     pub(crate) traversals: [OnceLock<MemoTraversal>; TRAVERSAL_SLOTS],
+    pub(crate) postorders: [OnceLock<MemoPostorder>; POSTORDER_SLOTS],
+    pub(crate) split: OnceLock<MemoSplit>,
 }
 
 impl Clone for Memo {
@@ -336,6 +383,48 @@ impl TaskTree {
             MemoTraversal { order, pos, peak }
         });
         (traversal, computed)
+    }
+
+    /// The postorder memoized in `slot` (below [`POSTORDER_SLOTS`]): the
+    /// first call per slot runs `compute`, which must return a postorder
+    /// of the whole tree, and the memo adds each node's span; later calls,
+    /// from any thread, read the stored order. Like the traversal slots,
+    /// each slot stands for one algorithm.
+    pub fn memo_postorder(
+        &self,
+        slot: usize,
+        compute: impl FnOnce(&TaskTree) -> Vec<NodeId>,
+    ) -> &MemoPostorder {
+        self.memo.postorders[slot].get_or_init(|| {
+            let order = compute(self);
+            let mut pos = vec![0u32; self.len()];
+            for (k, &v) in order.iter().enumerate() {
+                pos[v.index()] = k as u32;
+            }
+            // children come first, so a node's span is final before its
+            // parent reads it
+            let mut first = pos.clone();
+            for &v in &order {
+                if let Some(p) = self.parent(v) {
+                    first[p.index()] = first[p.index()].min(first[v.index()]);
+                }
+            }
+            debug_assert!(
+                {
+                    let sizes = self.subtree_sizes();
+                    let span = |v: NodeId| (pos[v.index()] - first[v.index()]) as usize + 1;
+                    self.ids().all(|v| span(v) == sizes[v.index()])
+                },
+                "a postorder keeps every subtree contiguous"
+            );
+            MemoPostorder { order, first, pos }
+        })
+    }
+
+    /// The memoized split pass: the first call runs `compute`, later
+    /// calls, from any thread, read its result.
+    pub fn memo_split(&self, compute: impl FnOnce(&TaskTree) -> MemoSplit) -> &MemoSplit {
+        self.memo.split.get_or_init(|| compute(self))
     }
 
     /// Memory needed *while* task `i` runs:

@@ -15,7 +15,8 @@
 //!    [`malformed_json`] record carrying the 1-based line number;
 //! 2. tree lookup through the parser's cache (one load per distinct path
 //!    for the parser's lifetime — the daemon keeps one parser, so every
-//!    client shares the warm cache);
+//!    client shares the warm cache); equal trees from different paths
+//!    share one allocation, and with it one memo of per-tree facts;
 //! 3. platform: the request's own spec, else the front-end default, else
 //!    an error record;
 //! 4. scheduler: the request's own name, else the platform-aware
@@ -51,6 +52,9 @@ pub fn default_scheduler(platform: &Platform) -> &'static str {
 /// platform for requests that spell none of their own.
 pub struct RequestParser {
     trees: HashMap<String, Arc<TaskTree>>,
+    /// The distinct trees loaded so far, by fingerprint; a hash only
+    /// nominates candidates, equality decides.
+    interned: HashMap<u64, Vec<Arc<TaskTree>>>,
     default_platform: Option<Platform>,
 }
 
@@ -59,8 +63,21 @@ impl RequestParser {
     pub fn new(default_platform: Option<Platform>) -> RequestParser {
         RequestParser {
             trees: HashMap::new(),
+            interned: HashMap::new(),
             default_platform,
         }
+    }
+
+    /// The shared allocation of a tree equal to `tree`, or `tree` itself
+    /// when no loaded tree equals it.
+    fn intern(&mut self, tree: TaskTree) -> Arc<TaskTree> {
+        let equal = self.interned.entry(tree.fingerprint()).or_default();
+        if let Some(shared) = equal.iter().find(|t| ***t == tree) {
+            return Arc::clone(shared);
+        }
+        let tree = Arc::new(tree);
+        equal.push(Arc::clone(&tree));
+        tree
     }
 
     /// Builds the engine request for one non-empty request line.
@@ -79,7 +96,7 @@ impl RequestParser {
             Some(t) => Arc::clone(t),
             None => match load_tree(&record.tree) {
                 Ok(t) => {
-                    let t = Arc::new(t);
+                    let t = self.intern(t);
                     self.trees.insert(record.tree, Arc::clone(&t));
                     t
                 }
@@ -152,6 +169,34 @@ mod tests {
             "second hit shares the cached Arc"
         );
         assert_eq!(parser.cached_trees(), 1);
+    }
+
+    #[test]
+    fn equal_trees_from_different_paths_share_one_arc() {
+        let fork = TaskTree::fork(4, 1.0, 1.0, 0.0);
+        let mut heavier = fork.clone();
+        heavier.set_work(heavier.root(), 2.0);
+        let paths = [
+            tree_file("intern-a.tree", &fork),
+            tree_file("intern-b.tree", &fork),
+            tree_file("intern-c.tree", &heavier),
+        ];
+        let mut parser = RequestParser::new(None);
+        let trees: Vec<Arc<TaskTree>> = paths
+            .iter()
+            .enumerate()
+            .map(|(k, path)| {
+                let line = format!("{{\"tree\":\"{path}\",\"processors\":2}}");
+                parser.build(k + 1, &line).expect("builds").problem.tree
+            })
+            .collect();
+        assert!(Arc::ptr_eq(&trees[0], &trees[1]), "equal content, one Arc");
+        assert!(
+            !Arc::ptr_eq(&trees[0], &trees[2]),
+            "unequal trees stay apart"
+        );
+        assert_eq!(*trees[2], heavier);
+        assert_eq!(parser.cached_trees(), 3, "paths are still counted");
     }
 
     #[test]
