@@ -30,12 +30,14 @@
 //!   skipped when they surface. The sum adds and subtracts the same
 //!   elements in the same order as a queue of keys would, so every cost is
 //!   bit-identical. The chosen splitting is the queue after the best step,
-//!   rebuilt from the first pops and sorted once. `O(n log p)` for the
-//!   replay plus `O(q log q)` for the `q` subtrees of the chosen step.
+//!   rebuilt from the first pops and sorted once. `O(n)` heap operations
+//!   and no sort of all keys, so `O(n log n)` (stale entries can grow the
+//!   top-`p` heap past `p`), plus `O(q log q)` for the `q` subtrees of the
+//!   chosen step.
 //!
-//! Against the paper's `O(n(log n + p))` per call, a request pays
-//! `O(n log p)` once the tree's pass is memoized, and `O(n log n)` when it
-//! is not.
+//! Against the paper's `O(n(log n + p))` per call, both halves are
+//! `O(n log n)` for any `p`, and a request on a tree whose pass is
+//! memoized pays only the replay.
 
 use crate::listsched::TotalF64;
 use std::cmp::Reverse;
