@@ -40,7 +40,7 @@
 use crate::heuristics::{par_subtrees, par_subtrees_optim, SeqAlgo, SubtreeScratch};
 use crate::listsched::{key_from_f64, list_schedule, CommCosts, Key3, ListScratch, Speeds};
 use crate::membound::{mem_bounded_schedule, mem_bounded_schedule_domains, Admission, DomainCtx};
-use crate::schedule::{EvalResult, EvalScratch, Schedule, ScheduleError};
+use crate::schedule::{EvalResult, EvalScratch, Orders, Schedule, ScheduleError};
 use std::sync::Arc;
 use treesched_model::{MemoTraversal, NodeId, TaskTree};
 
@@ -1123,7 +1123,9 @@ impl Outcome {
 /// * the **evaluator**'s sort keys and per-processor/per-domain tables,
 ///   through which every built-in scheduler validates its schedule and
 ///   sweeps its memory, are reused across calls, so a warm scratch
-///   evaluates without allocating.
+///   evaluates without allocating; the list schedulers and the subtree
+///   heuristics hand it the orders they placed their tasks in, so its
+///   key sorts merge a few ascending runs.
 ///
 /// A scratch holds nothing about any tree. The reference traversal (order,
 /// positions and peak) lives in the tree itself ([`SeqAlgo::reference`]),
@@ -1315,33 +1317,35 @@ pub trait Scheduler: Send + Sync {
 }
 
 /// Validates + evaluates `schedule` on the request's platform through the
-/// evaluator buffers of `scratch` and bundles the outcome. Per-domain peaks
-/// are computed only for non-flat platforms — on a flat platform the
+/// evaluator buffers `eval` and bundles the outcome. `orders` are the
+/// orders the scheduler placed its tasks in, which speed up the
+/// evaluator's key sorts and never change a result. Per-domain peaks are
+/// computed only for non-flat platforms — on a flat platform the
 /// single-domain peak is the global peak already.
 fn finish(
     name: &str,
     req: &Request<'_>,
     schedule: Schedule,
     diagnostics: Diagnostics,
-    scratch: &mut Scratch,
+    eval: &mut EvalScratch,
+    orders: Orders<'_>,
 ) -> Result<Outcome, SchedError> {
     let (tree, platform) = (req.tree, &req.platform);
     let with_domains = !platform.is_flat();
-    let eval = scratch
-        .eval
-        .evaluate(&schedule, tree, platform, true, with_domains)
+    let result = eval
+        .evaluate(&schedule, tree, platform, true, with_domains, orders)
         .map_err(|error| SchedError::InvalidSchedule {
             scheduler: name.to_string(),
             error,
         })?;
     let domain_peaks = if with_domains {
-        scratch.eval.domain_peaks().to_vec()
+        eval.domain_peaks().to_vec()
     } else {
         Vec::new()
     };
     Ok(Outcome {
         schedule,
-        eval,
+        eval: result,
         domain_peaks,
         diagnostics,
     })
@@ -1403,7 +1407,9 @@ impl Scheduler for ParSubtreesSched {
         } else {
             par_subtrees
         };
-        let Scratch { speeds, sub, .. } = scratch;
+        let Scratch {
+            speeds, sub, eval, ..
+        } = scratch;
         // Equal-speed platforms stay on the unit-time route with every
         // instant rescaled (bit-identical at speed 1.0); mixed speeds take
         // the speed-aware placement.
@@ -1422,7 +1428,14 @@ impl Scheduler for ParSubtreesSched {
             seq_peak: Some(reference.peak),
             cap_violations: None,
         };
-        finish(self.name(), req, schedule, diag, scratch)
+        // each subtree and the remainder run back to back on one
+        // processor: one order serves both key sorts
+        let placed = sub.placement_order();
+        let orders = Orders {
+            starts: placed,
+            finishes: placed,
+        };
+        finish(self.name(), req, schedule, diag, eval, orders)
     }
 }
 
@@ -1506,6 +1519,7 @@ impl Scheduler for ListSched {
             speeds,
             proc_domains,
             list,
+            eval,
             ..
         } = scratch;
         keys.clear();
@@ -1548,7 +1562,11 @@ impl Scheduler for ListSched {
             seq_peak: Some(reference.peak),
             cap_violations: None,
         };
-        finish(self.name(), req, schedule, diag, scratch)
+        let orders = Orders {
+            starts: list.dispatch_order(),
+            finishes: list.completion_order(),
+        };
+        finish(self.name(), req, schedule, diag, eval, orders)
     }
 }
 
@@ -1628,7 +1646,8 @@ impl Scheduler for MemBoundedSched {
             seq_peak: Some(reference.peak),
             cap_violations: Some(run.violations),
         };
-        finish(self.name(), req, run.schedule, diag, scratch)
+        let (eval, none) = (&mut scratch.eval, Orders::default());
+        finish(self.name(), req, run.schedule, diag, eval, none)
     }
 }
 

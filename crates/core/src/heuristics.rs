@@ -137,6 +137,9 @@ pub struct SubtreeScratch {
     /// Processor indices of mixed-speed platforms, fastest first (see
     /// [`rank_procs`]).
     procs: Vec<u32>,
+    /// The last schedule's tasks in placement order: subtree by subtree,
+    /// then the remainder (see [`SubtreeScratch::placement_order`]).
+    placed: Vec<NodeId>,
     views: u64,
 }
 
@@ -151,11 +154,20 @@ impl SubtreeScratch {
     pub fn subtree_views(&self) -> u64 {
         self.views
     }
+
+    /// The last schedule's tasks in the order they were placed: each
+    /// subtree's sequence, then the remainder's. A sequence runs back to
+    /// back on one processor, so it is an ascending run of both start and
+    /// finish times, which the evaluator merges instead of sorting.
+    pub(crate) fn placement_order(&self) -> &[NodeId] {
+        &self.placed
+    }
 }
 
 /// Schedules the subtree rooted at `r` sequentially on `proc` (of the given
-/// `speed`) from `start`, in the order chosen by `seq`, writing placements.
-/// Returns the finish time. Unit-speed callers pass `speed = 1.0`, which is
+/// `speed`) from `start`, in the order chosen by `seq`, writing placements
+/// and appending that order to `sub`'s placement order. Returns the finish
+/// time. Unit-speed callers pass `speed = 1.0`, which is
 /// bit-identical to the historical unscaled arithmetic (`w / 1.0 == w`).
 #[allow(clippy::too_many_arguments)]
 fn schedule_subtree(
@@ -170,16 +182,18 @@ fn schedule_subtree(
     sub: &mut SubtreeScratch,
 ) -> f64 {
     sub.views += 1;
-    let order = match seq.subtree_orders(tree, sub) {
+    let orders = seq.subtree_orders(tree, sub);
+    let SubtreeScratch {
+        dfs,
+        nodes,
+        order,
+        liu,
+        placed,
+        ..
+    } = sub;
+    let order = match orders {
         Some(orders) => orders.subtree(r),
         None => {
-            let SubtreeScratch {
-                dfs,
-                nodes,
-                order,
-                liu,
-                ..
-            } = sub;
             tree.subtree_nodes_into(r, dfs, nodes);
             liu_exact_view(&SubtreeView::new(tree, nodes), liu, order);
             order
@@ -196,16 +210,19 @@ fn schedule_subtree(
         };
         t += w;
     }
+    placed.extend_from_slice(order);
     t
 }
 
-/// Finishes a subtree schedule: every node not yet `placed` runs after
-/// `start`, sequentially on `proc` (the fastest processor), in the order of
-/// the whole-tree traversal `global`.
+/// Finishes a subtree schedule: every node not yet `in_parallel` runs
+/// after `start`, sequentially on `proc` (the fastest processor), in the
+/// order of the whole-tree traversal `global`, and is appended to `placed`.
+#[allow(clippy::too_many_arguments)]
 fn schedule_remainder(
     tree: &TaskTree,
     global: &[NodeId],
-    placed: &[bool],
+    in_parallel: &[bool],
+    placed: &mut Vec<NodeId>,
     speeds: Speeds<'_>,
     proc: u32,
     start: f64,
@@ -214,7 +231,8 @@ fn schedule_remainder(
     let speed = speeds.speed(proc);
     let mut t = start;
     for &v in global {
-        if !placed[v.index()] {
+        if !in_parallel[v.index()] {
+            placed.push(v);
             let w = tree.work(v) / speed;
             placements[v.index()] = Placement {
                 proc,
@@ -312,6 +330,7 @@ pub fn par_subtrees(
         sort_heaviest_first(&mut split.parallel_roots, subtree_w);
     }
     rank_procs(speeds, &mut sub.procs);
+    sub.placed.clear();
     let n = tree.len();
     let mut placements = blank_placements(n);
     let mut in_parallel = vec![false; n];
@@ -336,6 +355,7 @@ pub fn par_subtrees(
         tree,
         global,
         &in_parallel,
+        &mut sub.placed,
         speeds,
         ranked(speeds, &sub.procs, 0),
         t0,
@@ -376,6 +396,7 @@ pub fn par_subtrees_optim(
         .collect();
     sort_heaviest_first(&mut roots, subtree_w);
     rank_procs(speeds, &mut sub.procs);
+    sub.placed.clear();
     let n = tree.len();
     let mut placements = blank_placements(n);
     let mut in_parallel = vec![false; n];
@@ -408,6 +429,7 @@ pub fn par_subtrees_optim(
         tree,
         global,
         &in_parallel,
+        &mut sub.placed,
         speeds,
         ranked(speeds, &sub.procs, 0),
         t0,

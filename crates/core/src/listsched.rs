@@ -62,6 +62,10 @@ pub fn key_from_f64(x: f64) -> u64 {
 /// queue, and the bookkeeping tables. Clearing these instead of
 /// re-allocating them is what lets a corpus campaign of thousands of
 /// schedules run without per-schedule heap churn.
+///
+/// It also keeps the last schedule's two orders, which the evaluator
+/// sorts its event keys from: tasks in dispatch order and in completion
+/// order.
 #[derive(Default)]
 pub struct ListScratch {
     ready: BinaryHeap<Reverse<(Key3, NodeId)>>,
@@ -69,6 +73,28 @@ pub struct ListScratch {
     remaining_children: Vec<usize>,
     free: ClassPool,
     proc_of: Vec<u32>,
+    /// Tasks as they were dispatched, each instant's group by id.
+    dispatched: Vec<NodeId>,
+    /// Tasks as the event queue popped their finish.
+    completed: Vec<NodeId>,
+}
+
+impl ListScratch {
+    /// The last schedule's tasks in dispatch order: instant by instant,
+    /// each instant's group by id. Without transfer delays every task
+    /// starts when it is dispatched, so this is the start order, ties by
+    /// id, except where a zero-work task frees its processor for a second
+    /// group at the same instant.
+    pub(crate) fn dispatch_order(&self) -> &[NodeId] {
+        &self.dispatched
+    }
+
+    /// The last schedule's tasks in the order the event queue popped their
+    /// finish, `(finish, id)`, except that a zero-work task's finish pops
+    /// one round after the peers it ties with.
+    pub(crate) fn completion_order(&self) -> &[NodeId] {
+        &self.completed
+    }
 }
 
 /// Pool of idle processors grouped by speed class, replacing the historical
@@ -280,6 +306,8 @@ pub fn list_schedule(
         remaining_children,
         free,
         proc_of,
+        dispatched,
+        completed,
     } = scratch;
 
     // ready queue: min-heap on (key, id); finish events: min-heap on (time, node)
@@ -295,6 +323,10 @@ pub fn list_schedule(
     free.rebuild(speeds);
     proc_of.clear();
     proc_of.resize(n, 0);
+    dispatched.clear();
+    dispatched.reserve(n);
+    completed.clear();
+    completed.reserve(n);
     let mut placements: Vec<Placement> = vec![
         Placement {
             proc: 0,
@@ -309,7 +341,9 @@ pub fn list_schedule(
                   events: &mut BinaryHeap<Reverse<(TotalF64, NodeId)>>,
                   free: &mut ClassPool,
                   placements: &mut Vec<Placement>,
-                  proc_of: &mut [u32]| {
+                  proc_of: &mut [u32],
+                  dispatched: &mut Vec<NodeId>| {
+        let group = dispatched.len();
         while !free.is_empty() && !ready.is_empty() {
             let Reverse((_, node)) = ready.pop().expect("nonempty");
             // Every free processor can start the task at `t`, so the
@@ -337,11 +371,21 @@ pub fn list_schedule(
             };
             proc_of[node.index()] = proc;
             events.push(Reverse((TotalF64(finish), node)));
+            dispatched.push(node);
         }
+        dispatched[group..].sort_unstable();
     };
 
     // initial assignment at t = 0
-    assign(0.0, ready, events, free, &mut placements, proc_of);
+    assign(
+        0.0,
+        ready,
+        events,
+        free,
+        &mut placements,
+        proc_of,
+        dispatched,
+    );
 
     while let Some(&Reverse((TotalF64(t), _))) = events.peek() {
         // pop every task finishing exactly at t, release its processor, and
@@ -351,6 +395,7 @@ pub fn list_schedule(
                 break;
             }
             events.pop();
+            completed.push(node);
             free.push(proc_of[node.index()]);
             if let Some(parent) = tree.parent(node) {
                 let r = &mut remaining_children[parent.index()];
@@ -360,7 +405,7 @@ pub fn list_schedule(
                 }
             }
         }
-        assign(t, ready, events, free, &mut placements, proc_of);
+        assign(t, ready, events, free, &mut placements, proc_of, dispatched);
     }
 
     Schedule {

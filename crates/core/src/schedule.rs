@@ -7,13 +7,22 @@
 //! ([`Schedule::domain_peaks`]) for NUMA-style platforms.
 //!
 //! One evaluator serves every entry point: a single pass over the tasks
-//! in id order runs every validity check and records each task's start
-//! and finish as an integer sort key; after sorting the two key arrays, a
+//! in id order runs every validity check; each task's start and finish
+//! then become integer sort keys. Once the two key arrays are sorted, a
 //! walk of the start order checks each processor for overlaps, and one
 //! merged walk of both orders sweeps the memory (globally, per domain and
-//! as a profile). The schedulers evaluate through the buffers of their
-//! [`crate::api::Scratch`], reused from call to call; the public methods
-//! here run the same code on fresh buffers.
+//! as a profile).
+//!
+//! The built-in schedulers evaluate through the buffers of their
+//! [`crate::api::Scratch`], reused from call to call, and hand the
+//! evaluator the orders they placed their tasks in. Pushed in those
+//! orders, the keys arrive as a few ascending runs, and a merge of the
+//! runs sorts them, in one linear pass when they arrive sorted. The
+//! merged keys count only when they prove the order a permutation of the
+//! tasks; otherwise, and on the public methods here (fresh buffers, no
+//! order), the keys are pushed in id order and sorted. Both ways give the
+//! same sorted keys, so no result depends on the order a scheduler
+//! reports.
 
 use crate::api::Platform;
 use crate::listsched::key_from_f64;
@@ -101,7 +110,7 @@ impl Schedule {
     pub fn validate(&self, tree: &TaskTree) -> Result<(), ScheduleError> {
         let unit = Platform::new(self.processors);
         EvalScratch::default()
-            .check(self, tree, &unit, false)
+            .check(self, tree, &unit, false, &[])
             .map(drop)
     }
 
@@ -119,7 +128,7 @@ impl Schedule {
     /// needs to cross into the parent's domain.
     pub fn validate_on(&self, tree: &TaskTree, platform: &Platform) -> Result<(), ScheduleError> {
         EvalScratch::default()
-            .check(self, tree, platform, true)
+            .check(self, tree, platform, true, &[])
             .map(drop)
     }
 
@@ -133,8 +142,8 @@ impl Schedule {
     /// the same instant (task intervals are half-open `[start, finish)`).
     pub fn peak_memory(&self, tree: &TaskTree) -> f64 {
         let mut buf = EvalScratch::default();
-        buf.index(self, tree);
-        buf.sweep(self, tree, 0, None)
+        buf.sort_starts(self, tree, &[]);
+        buf.sweep(self, tree, 0, None, &[])
     }
 
     /// Peak memory per memory domain of `platform`, via the same event
@@ -153,9 +162,9 @@ impl Schedule {
     pub fn domain_peaks(&self, tree: &TaskTree, platform: &Platform) -> Vec<f64> {
         let mut buf = EvalScratch::default();
         if !platform.domains().is_empty() {
-            buf.index(self, tree);
+            buf.sort_starts(self, tree, &[]);
             platform.fill_domains(&mut buf.domains);
-            buf.sweep(self, tree, platform.domains().len(), None);
+            buf.sweep(self, tree, platform.domains().len(), None, &[]);
         }
         buf.peaks
     }
@@ -168,8 +177,8 @@ impl Schedule {
     pub fn memory_profile(&self, tree: &TaskTree) -> Vec<(f64, f64)> {
         let mut buf = EvalScratch::default();
         let mut out = Vec::new();
-        buf.index(self, tree);
-        buf.sweep(self, tree, 0, Some(&mut out));
+        buf.sort_starts(self, tree, &[]);
+        buf.sweep(self, tree, 0, Some(&mut out), &[]);
         out
     }
 
@@ -240,7 +249,7 @@ pub struct EvalResult {
 /// comes back as the [`ScheduleError`] that [`Schedule::validate`] found.
 pub fn try_evaluate(tree: &TaskTree, schedule: &Schedule) -> Result<EvalResult, ScheduleError> {
     let unit = Platform::new(schedule.processors);
-    EvalScratch::default().evaluate(schedule, tree, &unit, false, false)
+    EvalScratch::default().evaluate(schedule, tree, &unit, false, false, Orders::default())
 }
 
 /// [`try_evaluate`] for a heterogeneous [`Platform`]: validation scales
@@ -253,7 +262,7 @@ pub fn try_evaluate_on(
     schedule: &Schedule,
     platform: &Platform,
 ) -> Result<EvalResult, ScheduleError> {
-    EvalScratch::default().evaluate(schedule, tree, platform, true, false)
+    EvalScratch::default().evaluate(schedule, tree, platform, true, false, Orders::default())
 }
 
 // ---------------------------------------------------------------------------
@@ -286,22 +295,37 @@ fn time(e: EventKey) -> f64 {
     f64::from_bits(if k >> 63 == 1 { k & !(1 << 63) } else { !k })
 }
 
+/// The orders a scheduler placed its tasks in, from which
+/// [`EvalScratch::evaluate`] sorts its event keys: ideally a few
+/// ascending runs of start (finish) times, ties by id. An empty slice is
+/// no order; so is any slice that is not a permutation of the tasks.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Orders<'a> {
+    /// The tasks in dispatch order, for the start keys.
+    pub(crate) starts: &'a [NodeId],
+    /// The tasks in completion order, for the finish keys.
+    pub(crate) finishes: &'a [NodeId],
+}
+
 /// Working memory of the schedule evaluator. [`crate::api::Scratch`]
 /// keeps one, so a warm scheduler validates and evaluates its schedules
 /// without allocating; the public [`Schedule`] methods and
 /// [`try_evaluate_on`] run the same code on a fresh one.
 ///
-/// Evaluation is one pass over the tasks, two sorts and two walks:
+/// Evaluation is one pass over the tasks, two key sorts and two walks:
 ///
 /// 1. the pass, in id order, makes every per-task validity check;
 /// 2. the start times, as sorted integer keys, give the per-processor
 ///    overlap check: each task against the previous one on its processor;
 /// 3. the finish keys, sorted and merged with the start keys, give the
-///    memory sweep, finishes before starts at equal instants.
+///    memory sweep, finishes before starts at equal instants. Each task
+///    frees its memoized release ([`TaskTree::releases`]).
 ///
-/// Ties go by node id, which is the summation order of a stable sort over
-/// events pushed in id order, so every peak is bit-for-bit what such a
-/// sort computes.
+/// A key sort is a merge of ascending runs when the scheduler's
+/// [`Orders`] prove a permutation of the tasks, a `sort_unstable` of the
+/// keys in id order otherwise ([`sorted_events`]). Ties go by node id,
+/// which is the summation order of a stable sort over events pushed in id
+/// order, so every peak is bit-for-bit what such a sort computes.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct EvalScratch {
     /// `(start, node)` of every task, sorted: the dispatch order.
@@ -309,14 +333,12 @@ pub(crate) struct EvalScratch {
     /// `(finish, node)` of every task, sorted: the completion order.
     /// Only the memory sweep needs it, so validation alone skips it.
     finishes: Vec<EventKey>,
+    /// The other half of a run merge, swapped with the keys it sorts.
+    runs: Vec<EventKey>,
     /// Speed of each processor.
     speeds: Vec<f64>,
     /// Memory domain of each processor; `u32::MAX` for none.
     domains: Vec<u32>,
-    /// What each task allocates when it starts (`n_i + f_i`), by node.
-    alloc: Vec<f64>,
-    /// What each task frees when it finishes (`-(n_i + inputs)`), by node.
-    free: Vec<f64>,
     /// The previous task on each processor during the overlap check.
     last: Vec<u32>,
     /// Memory currently held in each domain during the sweep.
@@ -328,7 +350,8 @@ pub(crate) struct EvalScratch {
 impl EvalScratch {
     /// Validates `s` on `platform`, then sweeps it: the makespan, the
     /// global peak memory and, when `with_domains`, the per-domain peaks
-    /// ([`EvalScratch::domain_peaks`] reads them).
+    /// ([`EvalScratch::domain_peaks`] reads them). The key sorts start
+    /// from `orders`.
     ///
     /// `range_first` reports a processor outside `platform` ahead of every
     /// other error, as [`Schedule::validate_on`] does; without it errors
@@ -341,15 +364,16 @@ impl EvalScratch {
         platform: &Platform,
         range_first: bool,
         with_domains: bool,
+        orders: Orders<'_>,
     ) -> Result<EvalResult, ScheduleError> {
-        let makespan = self.check(s, tree, platform, range_first)?;
+        let makespan = self.check(s, tree, platform, range_first, orders.starts)?;
         let domains = if with_domains {
             platform.fill_domains(&mut self.domains);
             platform.domains().len()
         } else {
             0
         };
-        let peak_memory = self.sweep(s, tree, domains, None);
+        let peak_memory = self.sweep(s, tree, domains, None, orders.finishes);
         Ok(EvalResult {
             makespan,
             peak_memory,
@@ -362,13 +386,11 @@ impl EvalScratch {
         &self.peaks
     }
 
-    /// Records and sorts the start keys of `tree`'s tasks, with no checks.
-    fn index(&mut self, s: &Schedule, tree: &TaskTree) {
-        let placements = s.placements[..tree.len()].iter().zip(0..);
-        self.starts.clear();
-        self.starts
-            .extend(placements.map(|(pl, i)| event(pl.start, i)));
-        self.starts.sort_unstable();
+    /// Records and sorts the start keys of `tree`'s tasks, starting from
+    /// `order`, with no checks.
+    fn sort_starts(&mut self, s: &Schedule, tree: &TaskTree, order: &[NodeId]) {
+        let (placements, at) = (&s.placements[..tree.len()], |pl: &Placement| pl.start);
+        sorted_events(&mut self.starts, &mut self.runs, placements, order, at);
     }
 
     /// Every check of [`Schedule::validate_on`], in its order: length;
@@ -376,13 +398,15 @@ impl EvalScratch {
     /// task in id order its processor, interval and dependencies; then
     /// per-processor overlaps, the lowest processor's first pair; then,
     /// with communication costs, the first dependency whose transfer has
-    /// not arrived. Leaves the start keys sorted and returns the makespan.
+    /// not arrived. Leaves the start keys sorted, from `order`, and returns
+    /// the makespan.
     fn check(
         &mut self,
         s: &Schedule,
         tree: &TaskTree,
         platform: &Platform,
         range_first: bool,
+        order: &[NodeId],
     ) -> Result<f64, ScheduleError> {
         if s.placements.len() != tree.len() {
             return Err(ScheduleError::WrongLength {
@@ -444,7 +468,7 @@ impl EvalScratch {
         if let Some(error) = error {
             return Err(error);
         }
-        self.index(s, tree);
+        self.sort_starts(s, tree, order);
         // walking the start order, each task meets the previous task on
         // its processor: the per-processor start order, ties by id
         self.last.clear();
@@ -512,11 +536,12 @@ impl EvalScratch {
         })
     }
 
-    /// Records and sorts the finish keys, notes what each task allocates
-    /// and frees, and sweeps the memory over both orders. Returns the
-    /// global peak; with `domains > 0` (and `self.domains` filled) leaves
-    /// the per-domain peaks in `self.peaks`; with `profile`, appends the
-    /// memory after each instant.
+    /// Records and sorts the finish keys, starting from `order`, and sweeps
+    /// the memory over both orders: a task allocates `n_i + f_i` when it
+    /// starts and frees its release when it finishes. Returns the global
+    /// peak; with `domains > 0` (and `self.domains` filled) leaves the
+    /// per-domain peaks in `self.peaks`; with `profile`, appends the memory
+    /// after each instant.
     ///
     /// At one instant, finishing tasks free in id order, then starting
     /// tasks allocate in id order. A domain frees its finishing tasks'
@@ -527,25 +552,20 @@ impl EvalScratch {
         tree: &TaskTree,
         domains: usize,
         mut profile: Option<&mut Vec<(f64, f64)>>,
+        order: &[NodeId],
     ) -> f64 {
         let EvalScratch {
             starts,
             finishes,
+            runs,
             domains: domain_of,
-            alloc,
-            free,
             held,
             peaks,
             ..
         } = self;
-        let placements = s.placements[..tree.len()].iter().zip(0..);
-        finishes.clear();
-        finishes.extend(placements.map(|(pl, i)| event(pl.finish, i)));
-        finishes.sort_unstable();
-        alloc.clear();
-        alloc.extend(tree.ids().map(|i| tree.exec(i) + tree.output(i)));
-        free.clear();
-        free.extend(tree.ids().map(|i| -(tree.exec(i) + tree.input_size(i))));
+        let at = |pl: &Placement| pl.finish;
+        sorted_events(finishes, runs, &s.placements[..tree.len()], order, at);
+        let releases = tree.releases();
         held.clear();
         held.resize(domains, 0.0);
         peaks.clear();
@@ -576,7 +596,7 @@ impl EvalScratch {
         };
         instants(starts, finishes, |finishing, starting| {
             for &e in finishing {
-                step(e, free[node(e).index()]);
+                step(e, releases[node(e).index()]);
             }
             if domains > 0 {
                 for &e in finishing {
@@ -593,17 +613,98 @@ impl EvalScratch {
                 }
             }
             for &e in starting {
-                let i = node(e).index();
-                step(e, alloc[i]);
+                let i = node(e);
+                let alloc = tree.exec(i) + tree.output(i);
+                step(e, alloc);
                 if domains > 0 {
-                    if let Some(d) = domain(node(e)) {
-                        add(d, alloc[i]);
+                    if let Some(d) = domain(i) {
+                        add(d, alloc);
                     }
                 }
             }
         });
         peak
     }
+}
+
+/// Fills `keys` with the events of `placements` at the time `at` reads,
+/// sorted. Pushed in `order`, the keys are sorted by merging their
+/// ascending runs ([`merge_runs`]), unless they arrive sorted; the result
+/// counts when it is strictly increasing with one key per task, since
+/// only a permutation of the tasks gives that. Otherwise, and for an
+/// empty `order`, the keys are pushed in id order and sorted.
+fn sorted_events(
+    keys: &mut Vec<EventKey>,
+    runs: &mut Vec<EventKey>,
+    placements: &[Placement],
+    order: &[NodeId],
+    at: impl Fn(&Placement) -> f64,
+) {
+    let n = placements.len();
+    keys.clear();
+    keys.reserve(n);
+    if order.len() == n {
+        // whether the keys arrive strictly increasing (`None` is less
+        // than any key), so that a sorted order costs this one pass
+        let mut strict = true;
+        for &i in order {
+            let Some(pl) = placements.get(i.index()) else {
+                keys.clear();
+                break;
+            };
+            let key = event(at(pl), i.0);
+            strict &= keys.last() < Some(&key);
+            keys.push(key);
+        }
+        if !strict {
+            merge_runs(keys, runs);
+            strict = keys.windows(2).all(|w| w[0] < w[1]);
+        }
+        if strict && keys.len() == n {
+            return;
+        }
+        keys.clear();
+    }
+    keys.extend(placements.iter().zip(0..).map(|(pl, i)| event(at(pl), i)));
+    keys.sort_unstable();
+}
+
+/// Sorts `keys` by merging neighbouring ascending runs into `runs`, pass
+/// after pass, swapping the two buffers, until one run is left: one
+/// linear scan when `keys` is sorted already, `O(n log r)` for `r` runs.
+fn merge_runs(keys: &mut Vec<EventKey>, runs: &mut Vec<EventKey>) {
+    while run_end(keys, 0) < keys.len() {
+        runs.clear();
+        runs.reserve(keys.len());
+        let mut i = 0;
+        while i < keys.len() {
+            let mid = run_end(keys, i);
+            let end = run_end(keys, mid);
+            let (mut a, mut b) = (i, mid);
+            while a < mid && b < end {
+                if keys[b] < keys[a] {
+                    runs.push(keys[b]);
+                    b += 1;
+                } else {
+                    runs.push(keys[a]);
+                    a += 1;
+                }
+            }
+            runs.extend_from_slice(&keys[a..mid]);
+            runs.extend_from_slice(&keys[b..end]);
+            i = end;
+        }
+        std::mem::swap(keys, runs);
+    }
+}
+
+/// The end of the non-decreasing run of `keys` that starts at `i`.
+fn run_end(keys: &[EventKey], i: usize) -> usize {
+    let mut j = i + 1;
+    while j < keys.len() && keys[j - 1] <= keys[j] {
+        j += 1;
+    }
+    j.min(keys.len())
 }
 
 /// Walks two sorted key arrays one instant at a time, earliest first:
@@ -869,11 +970,185 @@ mod tests {
             .unwrap()
             .schedule;
         let mut eval = EvalScratch::default();
-        let cold = eval.evaluate(&s, &t, &platform, true, true).unwrap();
+        let none = Orders::default();
+        let cold = eval.evaluate(&s, &t, &platform, true, true, none).unwrap();
         let cold_peaks = eval.domain_peaks().to_vec();
         let before = ALLOCATIONS.with(|n| n.get());
-        let warm = eval.evaluate(&s, &t, &platform, true, true).unwrap();
+        let warm = eval.evaluate(&s, &t, &platform, true, true, none).unwrap();
         assert_eq!(ALLOCATIONS.with(|n| n.get()), before);
         assert_eq!((warm, eval.domain_peaks()), (cold, &cold_peaks[..]));
+    }
+    /// `root 0 <- {1, 3, 4}`, `1 <- {2}`: node 1 has no work, so it
+    /// starts and finishes at 1, with leaves 2 and 3. File sizes of mixed
+    /// magnitude make a different summation order at a tie change bits.
+    fn zero_work_tree() -> TaskTree {
+        TaskTree::from_parents(
+            &[None, Some(0), Some(1), Some(0), Some(0)],
+            &[1.0, 0.0, 1.0, 1.0, 2.0],
+            &[0.1, 1e6, 2.5, 1e-3, 0.3],
+            &[7.0, 0.3, 1e-3, 2.5, 1e6],
+        )
+        .unwrap()
+    }
+
+    /// Everything [`EvalScratch::evaluate`] reports, floats as bits.
+    fn evaluated(
+        s: &Schedule,
+        t: &TaskTree,
+        platform: &Platform,
+        orders: Orders<'_>,
+    ) -> (Result<(u64, u64), ScheduleError>, Vec<u64>) {
+        let mut eval = EvalScratch::default();
+        let result = eval.evaluate(s, t, platform, true, true, orders);
+        let peaks = eval.domain_peaks().iter().map(|p| p.to_bits()).collect();
+        let bits = |e: EvalResult| (e.makespan.to_bits(), e.peak_memory.to_bits());
+        (result.map(bits), peaks)
+    }
+
+    #[test]
+    fn list_completions_break_their_run_at_a_zero_work_task() {
+        use crate::listsched::{list_schedule, ListScratch, Speeds};
+        let t = zero_work_tree();
+        let keys: Vec<_> = (0..t.len() as u64).map(|i| (i, 0, 0)).collect();
+        let mut list = ListScratch::default();
+        let s = list_schedule(&t, Speeds::Unit(3), &keys, None, &mut list);
+        // node 1 finishes at 1 with leaves 2 and 3, but is dispatched only
+        // once they have finished, so its finish pops one round later
+        let ids = |order: &[NodeId]| order.iter().map(|i| i.0).collect::<Vec<_>>();
+        assert_eq!(ids(list.completion_order()), [2, 3, 1, 4, 0]);
+        assert_eq!(ids(list.dispatch_order()), [2, 3, 4, 1, 0]);
+        let platform = Platform::new(3).with_domain(1e12, &[0]);
+        let orders = Orders {
+            starts: list.dispatch_order(),
+            finishes: list.completion_order(),
+        };
+        let got = evaluated(&s, &t, &platform, orders);
+        assert!(got.0.is_ok());
+        assert_eq!(got, evaluated(&s, &t, &platform, Orders::default()));
+    }
+
+    #[test]
+    fn a_bad_order_cannot_change_a_result() {
+        use crate::heuristics::{par_subtrees, SeqAlgo, SubtreeScratch};
+        use crate::listsched::{list_schedule, ListScratch, Speeds};
+        let t = zero_work_tree();
+        let n = t.len();
+        let platform = Platform::new(3)
+            .with_domain(1e12, &[0])
+            .with_domain(1e12, &[1, 2]);
+        let keys: Vec<_> = (0..n as u64).map(|i| (i, 0, 0)).collect();
+        let mut list = ListScratch::default();
+        let listed = list_schedule(&t, Speeds::Unit(3), &keys, None, &mut list);
+        let mut sub = SubtreeScratch::new();
+        let split = par_subtrees(&t, Speeds::Unit(3), SeqAlgo::BestPostorder, &mut sub);
+        let placed = sub.placement_order();
+        let cases = [
+            (
+                "list",
+                listed,
+                list.dispatch_order(),
+                list.completion_order(),
+            ),
+            ("subtrees", split, placed, placed),
+        ];
+        for (what, valid, starts, finishes) in cases {
+            // leaf 3 moved onto leaf 2's processor while leaf 2 runs
+            let mut overlapping = valid.clone();
+            overlapping.placements[3].proc = valid.placements[2].proc;
+            overlapping.placements[3].start = valid.placements[2].start;
+            overlapping.placements[3].finish = valid.placements[2].finish;
+            let bad = |order: &[NodeId]| {
+                let mut reversed = order.to_vec();
+                reversed.reverse();
+                let mut duplicate = order.to_vec();
+                duplicate[n - 1] = order[0];
+                let mut out_of_range = order.to_vec();
+                out_of_range[0] = NodeId(n as u32);
+                let short = order[..n - 1].to_vec();
+                [order.to_vec(), reversed, duplicate, short, out_of_range]
+            };
+            let (starts, finishes) = (bad(starts), bad(finishes));
+            for s in [&valid, &overlapping] {
+                let want = evaluated(s, &t, &platform, Orders::default());
+                for (k, (starts, finishes)) in starts.iter().zip(&finishes).enumerate() {
+                    let orders = Orders { starts, finishes };
+                    assert_eq!(
+                        evaluated(s, &t, &platform, orders),
+                        want,
+                        "{what}, order {k}"
+                    );
+                }
+            }
+            assert!(evaluated(&valid, &t, &platform, Orders::default())
+                .0
+                .is_ok());
+            assert!(matches!(
+                evaluated(&overlapping, &t, &platform, Orders::default()).0,
+                Err(ScheduleError::Overlap { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn merging_runs_sorts_the_keys() {
+        let sorted: Vec<EventKey> = (0..40).map(|k| k * 3).collect();
+        let reversed: Vec<EventKey> = sorted.iter().rev().copied().collect();
+        let three_runs = [&sorted[20..], &sorted[..7], &sorted[7..20]].concat();
+        let ties = [&sorted[..30], &sorted[10..]].concat();
+        let mut runs = Vec::new();
+        for keys in [sorted.clone(), reversed, three_runs, ties, Vec::new()] {
+            let mut want = keys.clone();
+            want.sort_unstable();
+            let mut got = keys;
+            merge_runs(&mut got, &mut runs);
+            assert_eq!(got, want);
+        }
+    }
+
+    /// Allocations of a warm [`crate::api::Scheduler::schedule`] on a tree
+    /// of more than a thousand nodes, where a stable sort's buffer no
+    /// longer fits on the stack. The bounds are the counts measured before
+    /// the schedulers handed the evaluator their orders: the returned
+    /// placements and their copy for the list schedulers, plus the split's
+    /// and the membership tables for the subtree heuristics.
+    #[test]
+    fn a_warm_scheduler_allocates_no_more_than_before() {
+        use crate::api::{Request, SchedulerRegistry, Scratch};
+        let mut x = 0x5eed_u64;
+        let mut next = |bound: u64| {
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        };
+        let n = 1200;
+        let parents: Vec<_> = (0..n).map(|i| (i > 0).then(|| next(i) as usize)).collect();
+        let work: Vec<_> = (0..n).map(|_| (1 + next(4)) as f64).collect();
+        let output: Vec<_> = (0..n)
+            .map(|_| [0.0, 1.0, 2.5, 1e3][next(4) as usize])
+            .collect();
+        let exec: Vec<_> = (0..n).map(|_| next(3) as f64 * 0.5).collect();
+        let t = TaskTree::from_parents(&parents, &work, &output, &exec).unwrap();
+        let registry = SchedulerRegistry::standard();
+        let bounds = [
+            ("ParInnerFirst", 2),
+            ("ParDeepestFirst", 2),
+            ("ParSubtrees", 6),
+            ("ParSubtreesOptim", 8),
+        ];
+        for (name, bound) in bounds {
+            for p in [2, 4, 8] {
+                let scheduler = registry.get(name).unwrap();
+                let req = Request::new(&t, Platform::new(p));
+                let mut scratch = Scratch::new();
+                let cold = scheduler.schedule(&req, &mut scratch).unwrap();
+                let before = ALLOCATIONS.with(|n| n.get());
+                let warm = scheduler.schedule(&req, &mut scratch).unwrap();
+                let count = ALLOCATIONS.with(|n| n.get()) - before;
+                assert!(count <= bound, "{name} at p={p}: {count} > {bound}");
+                assert_eq!((warm.schedule, warm.eval), (cold.schedule, cold.eval));
+            }
+        }
     }
 }

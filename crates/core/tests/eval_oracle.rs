@@ -16,6 +16,7 @@
 use proptest::prelude::*;
 use treesched_core::api::{Platform, ProcClass, Request, SchedulerRegistry, Scratch};
 use treesched_core::{try_evaluate, try_evaluate_on, Placement, Schedule, ScheduleError};
+use treesched_gen::{assembly_corpus, Scale};
 use treesched_model::{NodeId, TaskTree};
 
 const TIME_EPS: f64 = 1e-9;
@@ -611,4 +612,34 @@ fn equal_instant_corner_cases_match_the_oracle() {
         })
     );
     assert!(!check("two overlaps", &both, &tree, &platform).unwrap());
+}
+
+/// The medium corpus (96 trees, mean ~1,300 nodes) under the paper's four
+/// heuristics at p ∈ {2, 4, 8}, on one warm `Scratch`: schedules long
+/// enough that the orders the schedulers hand the evaluator arrive as long
+/// runs, which the random trees above never produce. Every outcome must
+/// match the reference passes bit for bit.
+#[test]
+fn the_medium_corpus_evaluates_like_the_oracle() {
+    let registry = SchedulerRegistry::standard();
+    let mut scratch = Scratch::new();
+    for entry in assembly_corpus(Scale::Medium) {
+        let tree = &entry.tree;
+        for heuristic in registry.iter().filter(|e| e.in_campaign()) {
+            for p in [2, 4, 8] {
+                let req = Request::new(tree, Platform::new(p));
+                let out = heuristic.scheduler().schedule(&req, &mut scratch).unwrap();
+                let what = format!("{} on {}, p={p}", heuristic.name(), entry.name);
+                assert_eq!(reference_validate(&out.schedule, tree), Ok(()), "{what}");
+                assert_eq!(
+                    (out.eval.makespan.to_bits(), out.eval.peak_memory.to_bits()),
+                    (
+                        reference_makespan(&out.schedule).to_bits(),
+                        reference_peak_memory(&out.schedule, tree).to_bits()
+                    ),
+                    "{what}"
+                );
+            }
+        }
+    }
 }

@@ -1,4 +1,5 @@
-//! Derived per-node metrics: depths, subtree weights, critical path.
+//! Derived per-node metrics: depths, subtree weights, releases, critical
+//! path.
 
 use crate::TaskTree;
 
@@ -61,6 +62,18 @@ impl TaskTree {
                 }
             }
             w
+        })
+    }
+
+    /// What each task frees when it finishes, `-(n_i + Σ_{j ∈ children(i)}
+    /// f_j)` (its program and its input files), indexed by node id: the
+    /// finish events of the peak-memory sweep. Memoized like
+    /// [`TaskTree::depths`].
+    pub fn releases(&self) -> &[f64] {
+        self.memo.releases.get_or_init(|| {
+            self.ids()
+                .map(|i| -(self.exec(i) + self.input_size(i)))
+                .collect()
         })
     }
 

@@ -63,9 +63,10 @@ pub(crate) struct Node {
 /// traversals such as the *naive* postorder.
 ///
 /// Per-tree facts are memoized: [`TaskTree::fingerprint`],
-/// [`TaskTree::critical_path`], the per-node [`TaskTree::depths`],
-/// [`TaskTree::weighted_depths`] and [`TaskTree::subtree_work`], up to
-/// [`TRAVERSAL_SLOTS`] sequential traversals
+/// [`TaskTree::critical_path`], the per-node [`TaskTree::depths`] (4 B
+/// per node), [`TaskTree::weighted_depths`], [`TaskTree::subtree_work`]
+/// and the schedule evaluator's [`TaskTree::releases`] (8 B per node
+/// each), up to [`TRAVERSAL_SLOTS`] sequential traversals
 /// ([`TaskTree::memo_traversal`]), up to [`POSTORDER_SLOTS`] postorders
 /// sliced by subtree ([`TaskTree::memo_postorder`]) and the
 /// processor-count-independent pass of `SplitSubtrees`
@@ -178,6 +179,7 @@ pub(crate) struct Memo {
     pub(crate) depths: OnceLock<Vec<u32>>,
     pub(crate) weighted_depths: OnceLock<Vec<f64>>,
     pub(crate) subtree_work: OnceLock<Vec<f64>>,
+    pub(crate) releases: OnceLock<Vec<f64>>,
     pub(crate) traversals: [OnceLock<MemoTraversal>; TRAVERSAL_SLOTS],
     pub(crate) postorders: [OnceLock<MemoPostorder>; POSTORDER_SLOTS],
     pub(crate) split: OnceLock<MemoSplit>,
@@ -889,7 +891,7 @@ mod tests {
         for (set, column) in setters {
             let mut t = TaskTree::complete(2, 3, 1.0, 2.0, 0.5);
             let (fp, cp) = (t.fingerprint(), t.critical_path());
-            let _ = (t.depths(), t.subtree_work());
+            let _ = (t.depths(), t.subtree_work(), t.releases());
             for slot in 0..TRAVERSAL_SLOTS {
                 assert!(t.memo_traversal(slot, traversal).1);
                 assert!(!t.memo_traversal(slot, traversal).1);
@@ -923,6 +925,7 @@ mod tests {
             assert_eq!(t.critical_path(), fresh.critical_path(), "column {column}");
             assert_eq!(t.weighted_depths(), fresh.weighted_depths());
             assert_eq!(t.subtree_work(), fresh.subtree_work());
+            assert_eq!(t.releases(), fresh.releases());
             assert_eq!(t.depths(), fresh.depths());
             if column == 0 {
                 assert_ne!(t.critical_path(), cp);
