@@ -698,7 +698,9 @@ fn merge_runs(keys: &mut Vec<EventKey>, runs: &mut Vec<EventKey>) {
     }
 }
 
-/// The end of the non-decreasing run of `keys` that starts at `i`.
+/// The end of the non-decreasing run of `keys` that starts at `i`. Equal
+/// keys (a duplicate in the order) stay in one run, so every pass of
+/// [`merge_runs`] halves the runs and the merge ends.
 fn run_end(keys: &[EventKey], i: usize) -> usize {
     let mut j = i + 1;
     while j < keys.len() && keys[j - 1] <= keys[j] {
