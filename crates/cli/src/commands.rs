@@ -8,8 +8,8 @@
 use std::fmt::Write as _;
 use treesched_core::{Platform, Request, SchedError, SchedulerRegistry, Scratch, SeqAlgo};
 use treesched_model::{io as tree_io, TaskTree, TreeStats};
-use treesched_serve::{ServeEngine, MAX_WORKERS};
-use treesched_transport::{default_scheduler, Daemon, DaemonConfig, ListenOptions, RequestParser};
+use treesched_serve::MAX_WORKERS;
+use treesched_transport::{default_scheduler, Daemon, DaemonConfig, ListenOptions};
 
 /// Top-level usage text.
 pub const USAGE: &str = "treesched — memory/makespan-aware tree scheduling (IPDPS 2013)
@@ -767,7 +767,7 @@ fn cmd_schedulers(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// The JSONL serving front-end over [`treesched_serve::ServeEngine`].
+/// The JSONL serving front-end over the serve daemon's engine loop.
 ///
 /// Request records reference tree files by path; each distinct path is
 /// loaded once and shared across its requests, so same-tree traffic
@@ -920,73 +920,33 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
 /// `default_platform` applies to requests that spell no platform of their
 /// own (neither `processors` nor a `platform` object).
 ///
-/// Each line is resolved by the same [`RequestParser`] the serve daemon
-/// uses, so a daemon client that stable-sorts its framed responses gets
-/// this function's output byte-for-byte (the transport crate pins that).
+/// The stream is served by the daemon's own engine loop, run in place
+/// ([`treesched_transport::serve_batch`]), so a daemon client
+/// that stable-sorts its framed responses gets this function's output
+/// byte-for-byte, and a `{"op":"metrics"}` line is answered in its slot
+/// with a snapshot record, as in the daemon.
 pub fn serve_jsonl(input: &str, workers: usize, default_platform: Option<&Platform>) -> String {
     serve_jsonl_with_metrics(input, workers, default_platform).0
 }
 
 /// As [`serve_jsonl`], additionally returning the final metrics snapshot
 /// as one `{"op":"metrics",...}` JSONL record (the `--metrics-out` body):
-/// stage spans for the parse and drain phases, a log2 histogram of
-/// per-request schedule times, and the engine counters under the same
-/// names the serve daemon registers. The response stream is byte-for-byte
-/// the [`serve_jsonl`] stream — metrics live entirely outside the
-/// response identity (a property test pins this).
+/// the daemon's snapshot, with its request/response counters, engine
+/// counters, response-latency and schedule-time histograms and stage
+/// spans. The response stream is byte-for-byte the [`serve_jsonl`]
+/// stream — metrics live entirely outside the response identity (a
+/// property test pins this).
 pub fn serve_jsonl_with_metrics(
     input: &str,
     workers: usize,
     default_platform: Option<&Platform>,
 ) -> (String, String) {
-    let registry = SchedulerRegistry::standard();
-    let mut engine = ServeEngine::new(registry, workers);
-    let mut parser = RequestParser::new(default_platform.cloned());
-    // registration order is snapshot field order: engine mirrors, the
-    // schedule-time histogram, then the stage spans
-    let metrics = treesched_obs::MetricsRegistry::new();
-    for (name, _) in engine.stats().named_counters() {
-        metrics.counter(&name);
-    }
-    let schedule_us = metrics.histogram("schedule_time_us");
-    let parse_span = metrics.span("span_parse");
-    let drain_span = metrics.span("span_drain");
-    // one output slot per request line; protocol/file errors fill their
-    // slot immediately, scheduled requests fill theirs after the drain
-    let mut slots: Vec<Option<String>> = Vec::new();
-    let mut submitted: Vec<usize> = Vec::new(); // engine order -> slot
-    for (lineno, line) in input.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let slot = slots.len();
-        slots.push(None);
-        // the parser renders protocol/file errors (with their 1-based
-        // line numbers) as finished records
-        match parse_span.time(|| parser.build(lineno + 1, line)) {
-            Ok(request) => {
-                engine.submit(request);
-                submitted.push(slot);
-            }
-            Err(record) => slots[slot] = Some(record),
-        }
-    }
-    for (k, result) in drain_span.time(|| engine.drain()).iter().enumerate() {
-        schedule_us.record(result.time_us);
-        slots[submitted[k]] = Some(treesched_serve::result_json(result));
-    }
-    for (name, value) in engine.stats().named_counters() {
-        metrics.counter(&name).store(value);
-    }
-    let snapshot = metrics
-        .snapshot()
-        .append(treesched_serve::JsonRecord::new().str("op", "metrics"))
-        .line();
-    let output = slots
-        .into_iter()
-        .map(|s| s.expect("every slot filled"))
-        .collect();
-    (output, snapshot)
+    treesched_transport::serve_batch(
+        SchedulerRegistry::standard(),
+        workers,
+        default_platform.cloned(),
+        input,
+    )
 }
 
 /// Client for the daemon's `{"op":"metrics"}` control request: fetches
@@ -2168,6 +2128,44 @@ mod tests {
                 reference,
                 "workers={workers}"
             );
+        }
+    }
+
+    #[test]
+    fn batch_metrics_out_conserves_requests_and_responses() {
+        let f = tmpfile("serveconserve.tree");
+        run(&["gen", "fork", "3", "4", "-o", &f]).unwrap();
+        let input: String = ["deepest", "inner", "subtrees"]
+            .iter()
+            .map(|s| format!("{{\"tree\":\"{f}\",\"scheduler\":\"{s}\",\"processors\":2}}\n"))
+            .chain([
+                "not json\n".to_string(),
+                "{\"op\":\"metrics\"}\n".to_string(),
+            ])
+            .collect();
+        let req_file = tmpfile("serveconserve.jsonl");
+        std::fs::write(&req_file, &input).unwrap();
+        let metrics_file = tmpfile("serveconserve.json");
+        let out = run(&[
+            "serve",
+            &req_file,
+            "--workers",
+            "2",
+            "--metrics-out",
+            &metrics_file,
+        ])
+        .unwrap();
+        assert_eq!(out.lines().count(), 5, "{out}");
+        let snapshot = std::fs::read_to_string(&metrics_file).unwrap();
+        for want in [
+            "\"requests_total\":5,\"responses_total\":5",
+            "\"malformed_total\":1",
+            "\"inflight\":0",
+            "\"engine_requests_total\":3",
+            "\"worker_lost_total\":0",
+            "\"schedule_time_us\":{\"count\":3",
+        ] {
+            assert!(snapshot.contains(want), "{want} in {snapshot}");
         }
     }
 

@@ -1616,9 +1616,9 @@ impl Scheduler for MemBoundedSched {
         let reference = scratch.reference(tree, req.seq);
         let uniform = req.platform.uniform_speed();
         let run = match (uniform, req.platform.memory_cap()) {
-            // the paper's shape — one shared cap, equal speeds — stays on
-            // the historical shared-counter path, rescaled uniformly so the
-            // admission event order is preserved (bit-identical at 1.0)
+            // the paper's shape — one shared cap, equal speeds — runs at
+            // unit speed, rescaled uniformly so the admission event order
+            // is preserved (bit-identical at 1.0)
             (Some(speed), Some(cap)) => {
                 let mut run = mem_bounded_schedule(tree, p, &reference.order, cap, self.policy);
                 scale_times(&mut run.schedule, speed);

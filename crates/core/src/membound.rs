@@ -54,48 +54,15 @@ pub struct MemBoundedRun {
     pub peak_memory: f64,
 }
 
-struct State {
-    resident: f64,
-    peak: f64,
-    running: usize,
-    violations: usize,
-    free_procs: Vec<u32>,
-    proc_of: Vec<u32>,
-    placements: Vec<Placement>,
-}
-
-impl State {
-    fn start(
-        &mut self,
-        tree: &TaskTree,
-        node: NodeId,
-        t: f64,
-        events: &mut BinaryHeap<Reverse<(TotalF64, NodeId)>>,
-    ) {
-        let proc = self
-            .free_procs
-            .pop()
-            .expect("caller checked a processor is free");
-        let finish = t + tree.work(node);
-        self.placements[node.index()] = Placement {
-            proc,
-            start: t,
-            finish,
-        };
-        self.proc_of[node.index()] = proc;
-        events.push(Reverse((TotalF64(finish), node)));
-        self.resident += tree.exec(node) + tree.output(node);
-        self.peak = self.peak.max(self.resident);
-        self.running += 1;
-    }
-}
-
 /// Memory-capped scheduling of `tree` on `p` processors under `cap`.
 ///
 /// `order` is the reference sequential traversal (typically
 /// [`treesched_seq::best_postorder`]); under [`Admission::SequentialOrder`]
 /// it is also the activation order, and under [`Admission::Greedy`] it
 /// provides the ready-queue priorities.
+///
+/// This is [`mem_bounded_schedule_domains`] on one shared domain of `p`
+/// unit-speed processors.
 ///
 /// # Panics
 ///
@@ -107,157 +74,20 @@ pub fn mem_bounded_schedule(
     cap: f64,
     policy: Admission,
 ) -> MemBoundedRun {
-    assert!(p > 0, "need at least one processor");
-    let n = tree.len();
-    assert_eq!(order.len(), n, "order must cover every task");
-    let eps = 1e-9 * (1.0 + cap.abs());
-    let pos = treesched_model::io::positions(n, order);
-
-    let mut events: BinaryHeap<Reverse<(TotalF64, NodeId)>> = BinaryHeap::new();
-    let mut done = vec![false; n];
-    let mut remaining_children: Vec<usize> = (0..n)
-        .map(|i| tree.children(NodeId::from_index(i)).len())
-        .collect();
-    // Greedy: ready min-heap keyed by σ-position. SequentialOrder: cursor.
-    let mut ready: BinaryHeap<Reverse<(usize, NodeId)>> = BinaryHeap::new();
-    if policy == Admission::Greedy {
-        for i in tree.ids() {
-            if tree.is_leaf(i) {
-                ready.push(Reverse((pos[i.index()], i)));
-            }
-        }
-    }
-    let mut cursor = 0usize; // next σ-index to start (SequentialOrder)
-
-    let mut st = State {
-        resident: 0.0,
-        peak: 0.0,
-        running: 0,
-        violations: 0,
-        free_procs: (0..p).rev().collect(),
-        proc_of: vec![0; n],
-        placements: vec![
-            Placement {
-                proc: 0,
-                start: f64::NAN,
-                finish: f64::NAN
-            };
-            n
-        ],
+    let (speeds, domain_of) = (vec![1.0; p as usize], vec![0; p as usize]);
+    let ctx = DomainCtx {
+        speeds: &speeds,
+        domain_of: &domain_of,
+        caps: &[cap],
     };
-
-    let admit_sequential =
-        |st: &mut State,
-         cursor: &mut usize,
-         t: f64,
-         done: &[bool],
-         events: &mut BinaryHeap<Reverse<(TotalF64, NodeId)>>| {
-            while *cursor < n && !st.free_procs.is_empty() {
-                let node = order[*cursor];
-                if !tree.children(node).iter().all(|c| done[c.index()]) {
-                    break; // a child is still running; wait for its event
-                }
-                let footprint = tree.exec(node) + tree.output(node);
-                if st.resident + footprint <= cap + eps {
-                    st.start(tree, node, t, events);
-                    *cursor += 1;
-                } else if st.running == 0 {
-                    // cap below the sequential peak: force through, count it
-                    st.start(tree, node, t, events);
-                    st.violations += 1;
-                    *cursor += 1;
-                } else {
-                    break; // wait for running tasks to release memory
-                }
-            }
-        };
-
-    let admit_greedy =
-        |st: &mut State,
-         ready: &mut BinaryHeap<Reverse<(usize, NodeId)>>,
-         t: f64,
-         events: &mut BinaryHeap<Reverse<(TotalF64, NodeId)>>| {
-            let mut skipped: Vec<(usize, NodeId)> = Vec::new();
-            while !st.free_procs.is_empty() {
-                let Some(Reverse((k, node))) = ready.pop() else {
-                    break;
-                };
-                let footprint = tree.exec(node) + tree.output(node);
-                if st.resident + footprint <= cap + eps {
-                    st.start(tree, node, t, events);
-                } else {
-                    skipped.push((k, node));
-                }
-            }
-            if st.running == 0 && !st.free_procs.is_empty() && !skipped.is_empty() {
-                // nothing fits and nothing runs: force the cheapest through
-                let (j, _) = skipped
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, (_, a)), (_, (_, b))| {
-                        (tree.exec(*a) + tree.output(*a))
-                            .total_cmp(&(tree.exec(*b) + tree.output(*b)))
-                    })
-                    .expect("nonempty");
-                let (_, node) = skipped.swap_remove(j);
-                st.start(tree, node, t, events);
-                st.violations += 1;
-            }
-            for e in skipped {
-                ready.push(Reverse(e));
-            }
-        };
-
-    match policy {
-        Admission::SequentialOrder => {
-            admit_sequential(&mut st, &mut cursor, 0.0, &done, &mut events)
-        }
-        Admission::Greedy => admit_greedy(&mut st, &mut ready, 0.0, &mut events),
-    }
-
-    while let Some(&Reverse((TotalF64(t), _))) = events.peek() {
-        while let Some(&Reverse((TotalF64(tf), node))) = events.peek() {
-            if tf > t {
-                break;
-            }
-            events.pop();
-            st.free_procs.push(st.proc_of[node.index()]);
-            st.running -= 1;
-            st.resident -= tree.exec(node) + tree.input_size(node);
-            done[node.index()] = true;
-            if policy == Admission::Greedy {
-                if let Some(parent) = tree.parent(node) {
-                    let r = &mut remaining_children[parent.index()];
-                    *r -= 1;
-                    if *r == 0 {
-                        ready.push(Reverse((pos[parent.index()], parent)));
-                    }
-                }
-            }
-        }
-        match policy {
-            Admission::SequentialOrder => {
-                admit_sequential(&mut st, &mut cursor, t, &done, &mut events)
-            }
-            Admission::Greedy => admit_greedy(&mut st, &mut ready, t, &mut events),
-        }
-    }
-
-    debug_assert!(policy == Admission::Greedy || cursor == n);
-    MemBoundedRun {
-        schedule: Schedule {
-            processors: p,
-            placements: st.placements,
-        },
-        violations: st.violations,
-        peak_memory: st.peak,
-    }
+    mem_bounded_schedule_domains(tree, &ctx, order, policy)
 }
 
 /// Per-processor platform context for [`mem_bounded_schedule_domains`]: one
 /// speed and one memory-domain index per processor (`u32::MAX` = no domain:
 /// unbounded memory), plus one capacity per domain. Built from a
-/// [`crate::api::Platform`] via `fill_speeds` / `fill_domains`.
+/// [`crate::api::Platform`] via `fill_speeds` / `fill_domains`; the flat
+/// shared-cap case is one domain holding every processor.
 #[derive(Clone, Copy, Debug)]
 pub struct DomainCtx<'a> {
     /// Speed of each processor, in processor index order.
@@ -268,7 +98,7 @@ pub struct DomainCtx<'a> {
     pub caps: &'a [f64],
 }
 
-/// Domain- and speed-aware memory-capped scheduling: the generalization of
+/// Domain- and speed-aware memory-capped scheduling: the kernel behind
 /// [`mem_bounded_schedule`] that *enforces* each memory domain's capacity
 /// during admission (where [`crate::schedule::Schedule::domain_peaks`] only
 /// reports the peaks after the fact) and runs each task for `w / speed` on
@@ -281,14 +111,17 @@ pub struct DomainCtx<'a> {
 /// admitted on the first idle processor — fastest first, ties by index —
 /// whose domain has room for the footprint (processors outside every
 /// domain are never memory-blocked). When nothing runs and no processor's
-/// domain has room, a task is force-admitted and counted in
-/// [`MemBoundedRun::violations`], exactly like the shared-cap policies.
+/// domain has room, a task is force-admitted on the first idle processor
+/// and counted in [`MemBoundedRun::violations`], under either policy.
 /// [`MemBoundedRun::peak_memory`] stays the *global* resident peak, equal
 /// to `schedule.peak_memory(tree)`.
 ///
-/// The flat shared-memory equal-speed case stays on
-/// [`mem_bounded_schedule`] (bit-identical, pinned by goldens); this entry
-/// point serves mixed speeds and genuinely split memory.
+/// The flat case — equal speeds, one domain holding every processor, as
+/// [`mem_bounded_schedule`] builds it — keeps the flat scheduler's own
+/// rules, which its pinned schedules record: admission tests the running
+/// global sum (`exec + output` in, `exec + input_size` out), and idle
+/// processors form one LIFO stack, so a task takes the processor freed
+/// last (lowest index first at the start).
 ///
 /// # Panics
 ///
@@ -308,9 +141,36 @@ pub fn mem_bounded_schedule_domains(
     let eps: Vec<f64> = ctx.caps.iter().map(|c| 1e-9 * (1.0 + c.abs())).collect();
     let pos = treesched_model::io::positions(n, order);
 
-    // admission scan order: fastest processor first, ties by index
+    // the admission scan order — fastest first, ties by index — cut into
+    // runs of equal speed and domain: the processors of a run are equally
+    // fit for any task, so each run keeps its idle processors on one stack
     let mut prio: Vec<u32> = (0..p as u32).collect();
     prio.sort_by(|&a, &b| ctx.speeds[b as usize].total_cmp(&ctx.speeds[a as usize]));
+    let key = |proc: u32| {
+        (
+            ctx.speeds[proc as usize].to_bits(),
+            ctx.domain_of[proc as usize],
+        )
+    };
+    let mut run_of = vec![0usize; p];
+    let mut run_domain: Vec<u32> = Vec::new();
+    let mut idle: Vec<Vec<u32>> = Vec::new();
+    for (k, &proc) in prio.iter().enumerate() {
+        if k == 0 || key(proc) != key(prio[k - 1]) {
+            run_domain.push(ctx.domain_of[proc as usize]);
+            idle.push(Vec::new());
+        }
+        run_of[proc as usize] = run_domain.len() - 1;
+        idle.last_mut().expect("a run is open").push(proc);
+    }
+    for stack in &mut idle {
+        stack.reverse(); // lowest index on top
+    }
+    // one run in one domain — the flat case: admission tests the global
+    // resident sum, and a freed processor goes back on top of the stack;
+    // otherwise each domain tests its own level, and each run hands out
+    // its lowest idle index
+    let flat = run_domain.len() == 1 && run_domain[0] != u32::MAX;
 
     let mut events: BinaryHeap<Reverse<(TotalF64, NodeId)>> = BinaryHeap::new();
     let mut done = vec![false; n];
@@ -333,8 +193,8 @@ pub fn mem_bounded_schedule_domains(
         peak: f64,
         running: usize,
         violations: usize,
-        idle: usize,
-        free: Vec<bool>,
+        idle: Vec<Vec<u32>>,
+        idle_count: usize,
         proc_of: Vec<u32>,
         placements: Vec<Placement>,
     }
@@ -345,8 +205,8 @@ pub fn mem_bounded_schedule_domains(
         peak: 0.0,
         running: 0,
         violations: 0,
-        idle: p,
-        free: vec![true; p],
+        idle,
+        idle_count: p,
         proc_of: vec![0; n],
         placements: vec![
             Placement {
@@ -358,36 +218,39 @@ pub fn mem_bounded_schedule_domains(
         ],
     };
 
-    // first idle processor (fastest-first) whose domain fits `footprint`,
-    // or — with `force` — simply the first idle one
-    let pick = |st: &DomState, footprint: f64, force: bool| -> Option<u32> {
+    // first run with an idle processor whose domain fits `footprint`, or
+    // — with `force` — simply the first run with an idle processor
+    let pick = |st: &DomState, footprint: f64, force: bool| -> Option<usize> {
         let mut fallback = None;
-        for &proc in &prio {
-            if !st.free[proc as usize] {
+        for (g, &d) in run_domain.iter().enumerate() {
+            if st.idle[g].is_empty() {
                 continue;
             }
-            if fallback.is_none() {
-                fallback = Some(proc);
+            fallback.get_or_insert(g);
+            if d == u32::MAX {
+                return Some(g);
             }
-            let d = ctx.domain_of[proc as usize];
-            if d == u32::MAX
-                || st.resident[d as usize] + footprint <= ctx.caps[d as usize] + eps[d as usize]
-            {
-                return Some(proc);
+            let level = if flat {
+                st.total
+            } else {
+                st.resident[d as usize]
+            };
+            if level + footprint <= ctx.caps[d as usize] + eps[d as usize] {
+                return Some(g);
             }
         }
-        if force {
-            fallback
-        } else {
-            None
-        }
+        fallback.filter(|_| force)
     };
 
     let start = |st: &mut DomState,
                  node: NodeId,
-                 proc: u32,
+                 g: usize,
                  t: f64,
                  events: &mut BinaryHeap<Reverse<(TotalF64, NodeId)>>| {
+        let proc = st.idle[g]
+            .pop()
+            .expect("pick returns a run with an idle processor");
+        st.idle_count -= 1;
         let finish = t + tree.work(node) / ctx.speeds[proc as usize];
         st.placements[node.index()] = Placement {
             proc,
@@ -395,8 +258,6 @@ pub fn mem_bounded_schedule_domains(
             finish,
         };
         st.proc_of[node.index()] = proc;
-        st.free[proc as usize] = false;
-        st.idle -= 1;
         events.push(Reverse((TotalF64(finish), node)));
         let footprint = tree.exec(node) + tree.output(node);
         let d = ctx.domain_of[proc as usize];
@@ -414,23 +275,23 @@ pub fn mem_bounded_schedule_domains(
          t: f64,
          done: &[bool],
          events: &mut BinaryHeap<Reverse<(TotalF64, NodeId)>>| {
-            while *cursor < n && st.idle > 0 {
+            while *cursor < n && st.idle_count > 0 {
                 let node = order[*cursor];
                 if !tree.children(node).iter().all(|c| done[c.index()]) {
-                    break;
+                    break; // a child is still running; wait for its event
                 }
                 let footprint = tree.exec(node) + tree.output(node);
-                if let Some(proc) = pick(st, footprint, false) {
-                    start(st, node, proc, t, events);
+                if let Some(g) = pick(st, footprint, false) {
+                    start(st, node, g, t, events);
                     *cursor += 1;
                 } else if st.running == 0 {
-                    // no domain has room and nothing runs: force through
-                    let proc = pick(st, footprint, true).expect("a processor is idle");
-                    start(st, node, proc, t, events);
+                    // cap below the sequential peak: force through, count it
+                    let g = pick(st, footprint, true).expect("a processor is idle");
+                    start(st, node, g, t, events);
                     st.violations += 1;
                     *cursor += 1;
                 } else {
-                    break;
+                    break; // wait for running tasks to release memory
                 }
             }
         };
@@ -441,18 +302,19 @@ pub fn mem_bounded_schedule_domains(
          t: f64,
          events: &mut BinaryHeap<Reverse<(TotalF64, NodeId)>>| {
             let mut skipped: Vec<(usize, NodeId)> = Vec::new();
-            while st.idle > 0 {
+            while st.idle_count > 0 {
                 let Some(Reverse((k, node))) = ready.pop() else {
                     break;
                 };
                 let footprint = tree.exec(node) + tree.output(node);
-                if let Some(proc) = pick(st, footprint, false) {
-                    start(st, node, proc, t, events);
+                if let Some(g) = pick(st, footprint, false) {
+                    start(st, node, g, t, events);
                 } else {
                     skipped.push((k, node));
                 }
             }
-            if st.running == 0 && st.idle > 0 && !skipped.is_empty() {
+            if st.running == 0 && st.idle_count > 0 && !skipped.is_empty() {
+                // nothing fits and nothing runs: force the cheapest through
                 let (j, _) = skipped
                     .iter()
                     .enumerate()
@@ -463,8 +325,8 @@ pub fn mem_bounded_schedule_domains(
                     .expect("nonempty");
                 let (_, node) = skipped.swap_remove(j);
                 let footprint = tree.exec(node) + tree.output(node);
-                let proc = pick(&*st, footprint, true).expect("a processor is idle");
-                start(st, node, proc, t, events);
+                let g = pick(&*st, footprint, true).expect("a processor is idle");
+                start(st, node, g, t, events);
                 st.violations += 1;
             }
             for e in skipped {
@@ -486,8 +348,14 @@ pub fn mem_bounded_schedule_domains(
             }
             events.pop();
             let proc = st.proc_of[node.index()];
-            st.free[proc as usize] = true;
-            st.idle += 1;
+            let stack = &mut st.idle[run_of[proc as usize]];
+            let at = if flat {
+                stack.len()
+            } else {
+                stack.partition_point(|&q| q > proc)
+            };
+            stack.insert(at, proc);
+            st.idle_count += 1;
             st.running -= 1;
             // release the program from this task's domain and each input
             // file from the domain of the child that produced it

@@ -470,12 +470,17 @@ impl EvalScratch {
         }
         self.sort_starts(s, tree, order);
         // walking the start order, each task meets the previous task on
-        // its processor: the per-processor start order, ties by id
+        // its processor: the per-processor start order, ties by id. A
+        // zero-work task's empty interval holds nothing, so it is neither
+        // tested nor kept as its processor's previous task
         self.last.clear();
         self.last.resize(s.processors as usize, u32::MAX);
         let mut overlap: Option<ScheduleError> = None;
         for &e in &self.starts {
             let b = node(e);
+            if tree.work(b) == 0.0 {
+                continue;
+            }
             let proc = s.placement(b).proc;
             let a = std::mem::replace(&mut self.last[proc as usize], b.0);
             if a == u32::MAX {
@@ -1027,6 +1032,23 @@ mod tests {
         let got = evaluated(&s, &t, &platform, orders);
         assert!(got.0.is_ok());
         assert_eq!(got, evaluated(&s, &t, &platform, Orders::default()));
+    }
+
+    #[test]
+    fn every_scheduler_serves_the_zero_work_tree() {
+        use crate::api::{Request, SchedulerRegistry, Scratch};
+        let t = zero_work_tree();
+        let registry = SchedulerRegistry::standard();
+        let mut scratch = Scratch::new();
+        for p in 1..=4 {
+            // a generous cap, so that the capped entries run too
+            let platform = Platform::new(p).with_memory_cap(1e12);
+            for entry in registry.iter() {
+                let req = Request::new(&t, platform.clone());
+                let out = entry.scheduler().schedule(&req, &mut scratch);
+                assert!(out.is_ok(), "{} at p = {p}: {:?}", entry.name(), out.err());
+            }
+        }
     }
 
     #[test]

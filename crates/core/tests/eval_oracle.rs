@@ -14,7 +14,7 @@
 //! `PROPTEST_CASES` raises the count.
 
 use proptest::prelude::*;
-use treesched_core::api::{Platform, ProcClass, Request, SchedulerRegistry, Scratch};
+use treesched_core::api::{Platform, ProcClass, Request, SchedError, SchedulerRegistry, Scratch};
 use treesched_core::{try_evaluate, try_evaluate_on, Placement, Schedule, ScheduleError};
 use treesched_gen::{assembly_corpus, Scale};
 use treesched_model::{NodeId, TaskTree};
@@ -106,9 +106,9 @@ fn reference_validate_with(
             }
         }
     }
-    // per-processor overlap check
+    // per-processor overlap check; a zero-work task holds nothing
     let mut by_proc: Vec<Vec<NodeId>> = vec![Vec::new(); s.processors as usize];
-    for i in tree.ids() {
+    for i in tree.ids().filter(|&i| tree.work(i) != 0.0) {
         by_proc[s.placement(i).proc as usize].push(i);
     }
     for (proc, tasks) in by_proc.iter_mut().enumerate() {
@@ -525,12 +525,17 @@ proptest! {
         let registry = SchedulerRegistry::standard();
         let mut scratch = Scratch::new();
         for entry in registry.iter() {
-            // a scheduler that cannot serve the platform shape says so
-            let Ok(out) = entry
+            // a scheduler that cannot serve the platform shape says so;
+            // a schedule it built must always validate
+            let out = match entry
                 .scheduler()
                 .schedule(&Request::new(&tree, platform.clone()), &mut scratch)
-            else {
-                continue;
+            {
+                Ok(out) => out,
+                Err(e @ SchedError::InvalidSchedule { .. }) => {
+                    return Err(TestCaseError::fail(format!("{}: {e}", entry.name())))
+                }
+                Err(_) => continue,
             };
             let what = format!("{} on {shape}, n={n}", entry.name());
             prop_assert!(check(&what, &out.schedule, &tree, &platform)?, "{}: valid", what);
@@ -598,8 +603,9 @@ fn equal_instant_corner_cases_match_the_oracle() {
         ],
     };
     assert!(check("corner", &valid, &tree, &platform).unwrap());
-    // overlaps on processor 2 (at 0.5) and processor 0 (at 1.5): the
-    // lowest processor is reported, not the earliest overlap
+    // an overlap on processor 0 (at 1.5); the zero-work task moved to 0.5
+    // on processor 2 lies inside task 5's run there but holds nothing, so
+    // it overlaps nothing
     let mut both = valid.clone();
     both.placements[1] = at(0, 1.5, 2.0);
     both.placements[2] = at(2, 0.5, 0.0);

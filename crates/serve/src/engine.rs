@@ -168,9 +168,9 @@ impl ServeStats {
     /// `traversal_computes_total`, `traversal_reuses_total`,
     /// `subtree_views_total`, `worker_lost_total`, `reroutes_total`, then
     /// `worker_{w}_requests_total` for each worker `w`, then
-    /// `worker_{w}_busy_us_total` for each worker `w`. The serve daemon
-    /// and batch `serve` both mirror these, so scrapes of either surface
-    /// read identically.
+    /// `worker_{w}_busy_us_total` for each worker `w`. The serve daemon's
+    /// engine loop, which batch `serve` runs in place, mirrors these into
+    /// its one metrics registry.
     pub fn named_counters(&self) -> Vec<(String, u64)> {
         let totals = [
             ("engine_requests_total", self.requests),

@@ -15,6 +15,11 @@
 //! moment it completes, so a slow request never delays responses for
 //! other requests or other clients.
 //!
+//! Batch `serve` is the same loop run in place ([`serve_batch`]): the
+//! whole input is queued as one client before the loop starts, so it
+//! drains as one window, and the reordered responses are the batch
+//! output. Batch and daemon answers are byte-identical by construction.
+//!
 //! # Backpressure
 //!
 //! Every client has a bounded in-flight budget
@@ -30,15 +35,16 @@
 //!
 //! # Observability
 //!
-//! Every daemon carries a [`MetricsRegistry`]: request/response/shed/
-//! malformed counters, an aggregate in-flight gauge, a log2 histogram of
-//! framed-response latency, and parse/drain stage spans. A client line
-//! of exactly `{"op":"metrics"}` is answered — in its response slot,
-//! like any other line — with one snapshot record
+//! Every engine loop carries a [`MetricsRegistry`]: request/response/shed/
+//! malformed counters, an aggregate in-flight gauge, the engine counters,
+//! log2 histograms of framed-response latency and of per-request schedule
+//! time, and parse/drain stage spans. A client line of exactly
+//! `{"op":"metrics"}` is answered — in its response slot, like any other
+//! line — with one snapshot record
 //! (`{"op":"metrics","requests_total":...,...}`); any other `"op"` line
 //! is a typed malformed-request record. [`Daemon::metrics_json`] fetches
-//! the same snapshot out-of-band. Metrics stay outside byte-identity:
-//! data-line responses are byte-identical to the batch front-end's.
+//! the same snapshot out-of-band, and [`serve_batch`] returns it after
+//! the drain. Metrics stay outside byte-identity.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -130,6 +136,7 @@ struct Meters {
     malformed: Arc<Counter>,
     inflight: Arc<Gauge>,
     latency: Arc<Histogram>,
+    schedule_us: Arc<Histogram>,
     parse_span: Arc<Span>,
     drain_span: Arc<Span>,
 }
@@ -154,6 +161,7 @@ impl Meters {
             malformed,
             inflight,
             latency: registry.histogram("response_latency_us"),
+            schedule_us: registry.histogram("schedule_time_us"),
             parse_span: registry.span("span_parse"),
             drain_span: registry.span("span_drain"),
             registry,
@@ -301,6 +309,20 @@ impl Submitter {
     pub fn submitted(&self) -> u64 {
         self.seq
     }
+
+    /// Submits one input line with its 1-based line number, blocking or
+    /// shedding as [`Submitter::submit_blocking`] or
+    /// [`Submitter::submit_or_overload`]; a blank line takes no slot.
+    pub(crate) fn submit_line(&mut self, lineno: usize, line: &str, block: bool) {
+        if line.trim().is_empty() {
+            return;
+        }
+        if block {
+            self.submit_blocking(lineno, line);
+        } else {
+            self.submit_or_overload(lineno, line);
+        }
+    }
 }
 
 /// One attached client: the submitting half plus the ordered response
@@ -325,25 +347,18 @@ impl ClientHandle {
     /// frames stripped).
     pub fn run_batch(mut self, input: &str, block: bool) -> String {
         for (k, line) in input.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            if block {
-                self.submitter.submit_blocking(k + 1, line);
-            } else {
-                self.submitter.submit_or_overload(k + 1, line);
-            }
+            self.submitter.submit_line(k + 1, line, block);
         }
-        let mut lines = Vec::with_capacity(self.submitter.submitted() as usize);
-        for _ in 0..self.submitter.submitted() {
-            match self.responses.recv() {
-                Ok(line) => lines.push(line),
-                Err(_) => break, // daemon gone mid-stream
-            }
-        }
-        crate::frame::reorder(lines.iter().map(|s| s.as_str()))
-            .expect("the daemon frames every response")
+        collect(&self.responses, self.submitter.submitted())
     }
+}
+
+/// Receives `n` framed responses (fewer if the daemon is gone mid-stream)
+/// and restores input order.
+fn collect(responses: &Receiver<String>, n: u64) -> String {
+    let lines: Vec<String> = responses.iter().take(n as usize).collect();
+    crate::frame::reorder(lines.iter().map(|s| s.as_str()))
+        .expect("the daemon frames every response")
 }
 
 /// A running serve daemon: handle to the engine-loop thread.
@@ -372,8 +387,9 @@ impl Daemon {
         let meters = Arc::new(Meters::new(config.workers));
         let loop_meters = Arc::clone(&meters);
         let (ops, ops_rx) = channel();
-        let handle =
-            std::thread::spawn(move || engine_loop(&ops_rx, &registry, config, &loop_meters));
+        let handle = std::thread::spawn(move || {
+            engine_loop(&ops_rx, &registry, config, &loop_meters);
+        });
         Daemon {
             ops,
             next_client: AtomicU64::new(0),
@@ -386,25 +402,7 @@ impl Daemon {
     /// Attaches a new client with a fresh in-flight budget.
     pub fn client(&self) -> ClientHandle {
         let client = self.next_client.fetch_add(1, Ordering::Relaxed);
-        let (tx, responses) = channel();
-        let inflight = Arc::new(Inflight::new(self.cap));
-        let _ = self.ops.send(Op::Register {
-            client,
-            tx: tx.clone(),
-            inflight: Arc::clone(&inflight),
-        });
-        ClientHandle {
-            submitter: Submitter {
-                client,
-                seq: 0,
-                cap: self.cap,
-                ops: self.ops.clone(),
-                inflight,
-                loopback: tx,
-                meters: Arc::clone(&self.meters),
-            },
-            responses,
-        }
+        attach(&self.ops, client, self.cap, &self.meters)
     }
 
     /// Aggregate engine counters, fetched through the engine loop.
@@ -447,17 +445,79 @@ impl Drop for Daemon {
     }
 }
 
+/// Registers client `client` with an in-flight budget of `cap` on the
+/// engine loop behind `ops`.
+fn attach(ops: &Sender<Op>, client: u64, cap: usize, meters: &Arc<Meters>) -> ClientHandle {
+    let (tx, responses) = channel();
+    let inflight = Arc::new(Inflight::new(cap));
+    let _ = ops.send(Op::Register {
+        client,
+        tx: tx.clone(),
+        inflight: Arc::clone(&inflight),
+    });
+    ClientHandle {
+        submitter: Submitter {
+            client,
+            seq: 0,
+            cap,
+            ops: ops.clone(),
+            inflight,
+            loopback: tx,
+            meters: Arc::clone(meters),
+        },
+        responses,
+    }
+}
+
+/// Serves one whole JSONL input on the calling thread and returns the
+/// response stream in input order plus the final metrics snapshot record.
+///
+/// This is the daemon's engine loop, run in place: the input is one
+/// client whose in-flight budget is its line count, so submission never
+/// blocks; every line is queued before the loop starts, so the loop
+/// drains the whole input as one window and stops when the queue runs
+/// dry. Responses are framed, rendered and dropped as each result
+/// completes, then [`reorder`](crate::frame::reorder)ed. Data lines,
+/// control lines and the snapshot are exactly a daemon client's.
+pub fn serve_batch(
+    registry: SchedulerRegistry,
+    workers: usize,
+    default_platform: Option<Platform>,
+    input: &str,
+) -> (String, String) {
+    let config = DaemonConfig {
+        workers,
+        inflight_cap: input.lines().count(),
+        default_platform,
+    };
+    let meters = Arc::new(Meters::new(workers));
+    let (ops, ops_rx) = channel();
+    let ClientHandle {
+        mut submitter,
+        responses,
+    } = attach(&ops, 0, config.inflight_cap, &meters);
+    for (k, line) in input.lines().enumerate() {
+        submitter.submit_line(k + 1, line, true);
+    }
+    let n = submitter.submitted();
+    drop((ops, submitter));
+    let stats = engine_loop(&ops_rx, &Arc::new(registry), config, &meters);
+    (collect(&responses, n), meters.snapshot_record(stats, false))
+}
+
 struct ClientState {
     tx: Sender<String>,
     inflight: Arc<Inflight>,
 }
 
+/// Serves operations until shutdown or until every sender is gone, and
+/// returns the engine's final counters.
 fn engine_loop(
     ops: &Receiver<Op>,
     registry: &Arc<SchedulerRegistry>,
     config: DaemonConfig,
     meters: &Meters,
-) {
+) -> ServeStats {
     let mut engine = ServeEngine::with_registry(Arc::clone(registry), config.workers);
     let mut parser = RequestParser::new(config.default_platform);
     let mut clients: HashMap<u64, ClientState> = HashMap::new();
@@ -507,6 +567,7 @@ fn engine_loop(
                 };
                 meters.responses.inc();
                 meters.latency.record(at.elapsed().as_micros() as u64);
+                meters.schedule_us.record(result.time_us);
                 meters.inflight.dec();
                 let Some(state) = attached.get(&client) else {
                     return; // client detached; nothing waits on the slot
@@ -522,6 +583,7 @@ fn engine_loop(
             }
         }
     }
+    engine.stats()
 }
 
 /// Applies one operation; returns `true` on shutdown.
@@ -617,6 +679,27 @@ mod tests {
         let daemon = Daemon::new(SchedulerRegistry::standard(), DaemonConfig::default());
         let got = daemon.client().run_batch(&input, true);
         assert_eq!(got, batch_reference(&input));
+    }
+
+    #[test]
+    fn in_place_batch_answers_a_metrics_line_in_its_slot() {
+        // every other slot is the engine-direct reference's for the input
+        // without that line
+        let data = stream("a");
+        let cut = data.match_indices('\n').nth(5).unwrap().0 + 1;
+        let input = format!("{}{{\"op\":\"metrics\"}}\n{}", &data[..cut], &data[cut..]);
+        for workers in [1, 2, 3] {
+            let (got, snapshot) = serve_batch(SchedulerRegistry::standard(), workers, None, &input);
+            let mut lines: Vec<&str> = got.split_inclusive('\n').collect();
+            assert!(lines.remove(6).starts_with("{\"op\":\"metrics\","), "{got}");
+            assert_eq!(lines.concat(), batch_reference(&data));
+            let conserved = "\"requests_total\":13,\"responses_total\":13";
+            assert!(snapshot.contains(conserved), "{snapshot}");
+            assert!(
+                snapshot.contains("\"engine_requests_total\":12"),
+                "{snapshot}"
+            );
+        }
     }
 
     #[test]
@@ -854,6 +937,10 @@ mod tests {
         assert!(
             snapshot.contains(&format!("\"engine_requests_total\":{data_lines}")),
             "{snapshot}"
+        );
+        assert!(
+            snapshot.contains(&format!("\"schedule_time_us\":{{\"count\":{data_lines}")),
+            "every drained result is timed: {snapshot}"
         );
         // the latency histogram saw every engine-served response, each
         // sample in exactly one bucket (count == Σ buckets)

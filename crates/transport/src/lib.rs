@@ -33,10 +33,12 @@
 //!   [`treesched_obs::MetricsRegistry`]; clients fetch a live snapshot
 //!   in-band with a `{"op":"metrics"}` request line, embedders with
 //!   [`Daemon::metrics_json`] (see the [`daemon`] module docs).
-//! * [`RequestParser`] — the shared per-line front-end (parse, tree
-//!   cache, platform defaulting, scheduler defaulting) used by **both**
-//!   the one-shot batch `serve` command and the daemon, which is what
-//!   makes streamed-equals-batch a structural guarantee instead of a
+//! * [`serve_batch`] — the one-shot batch `serve` command: the daemon's
+//!   engine loop run in place on the calling thread over one whole
+//!   input. Batch and daemon share one parser ([`RequestParser`]: parse,
+//!   tree cache, platform and scheduler defaulting), one control-line
+//!   path, one drain sink and one metrics registry, which is what makes
+//!   streamed-equals-batch a structural guarantee instead of a
 //!   convention.
 //!
 //! ```
@@ -61,7 +63,7 @@ mod pump;
 #[cfg(test)]
 pub(crate) mod testutil;
 
-pub use daemon::{ClientHandle, Daemon, DaemonConfig, Submitter};
+pub use daemon::{serve_batch, ClientHandle, Daemon, DaemonConfig, Submitter};
 pub use frame::{frame, reorder, unframe};
 pub use proto::{default_scheduler, RequestParser};
 #[cfg(unix)]

@@ -1,13 +1,13 @@
 //! The shared per-line request front-end: one JSONL request line in, one
 //! [`ServeRequest`] (or one finished error record) out.
 //!
-//! Both front-ends of the serving protocol — the one-shot batch `serve`
-//! command and the long-lived daemon transports — build their engine
-//! requests through this one type. That is what makes the acceptance
-//! guarantee *structural* rather than aspirational: a streamed response
-//! stream, stable-sorted by submission index, is byte-identical to the
-//! batch output because both paths parse, resolve, default, and render
-//! through exactly the same code.
+//! The daemon's engine loop builds every engine request through this one
+//! type, and the one-shot batch `serve` command is that loop run in place
+//! ([`crate::serve_batch`]). That is what makes the acceptance guarantee
+//! *structural* rather than aspirational: a streamed response stream,
+//! stable-sorted by submission index, is byte-identical to the batch
+//! output because both paths parse, resolve, default, and render through
+//! exactly the same code.
 //!
 //! Resolution per line, in order:
 //!

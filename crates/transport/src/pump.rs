@@ -55,18 +55,8 @@ pub(crate) fn pump<W: Write + Send + 'static>(
     let mut lineno = 0usize;
     for line in input.lines() {
         lineno += 1; // physical line number, blank lines included
-        let line = match line {
-            Ok(line) => line,
-            Err(_) => break, // treat a broken read side as EOF
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        if block {
-            submitter.submit_blocking(lineno, &line);
-        } else {
-            submitter.submit_or_overload(lineno, &line);
-        }
+        let Ok(line) = line else { break }; // a broken read side is EOF
+        submitter.submit_line(lineno, &line, block);
     }
     total.store(submitter.submitted(), Ordering::Release);
     writer
@@ -106,14 +96,7 @@ pub(crate) fn pump_stoppable<R: BufRead + Send + 'static, W: Write>(
             }
             lineno += 1; // physical line number, blank lines included
             let Ok(line) = line else { break };
-            if line.trim().is_empty() {
-                continue;
-            }
-            if block {
-                submitter.submit_blocking(lineno, &line);
-            } else {
-                submitter.submit_or_overload(lineno, &line);
-            }
+            submitter.submit_line(lineno, &line, block);
             reader_so_far.store(submitter.submitted(), Ordering::Release);
         }
         reader_total.store(submitter.submitted(), Ordering::Release);
