@@ -119,6 +119,103 @@ fn malformed_flags_fail_cleanly() {
     assert_eq!(err(&["pareto", "x.tree"]).code, 2); // missing -p
 }
 
+/// Every value flag of every subcommand, given last with its value
+/// missing, and every subcommand given an unknown flag: each is a usage
+/// error (exit 2) whose message names the offending argument.
+#[test]
+fn usage_errors_name_the_offending_argument() {
+    const F: &str = "/nonexistent/treesched-usage.tree";
+    let missing: &[(&[&str], &str)] = &[
+        (&["gen", "fork", "2", "3"], "-o"),
+        (&["sketch", F], "--max"),
+        (&["seq", F], "--algo"),
+        (&["schedule", F], "-p"),
+        (&["schedule", F, "-p", "2"], "--scheduler"),
+        (&["schedule", F, "-p", "2"], "--heuristic"),
+        (&["schedule", F, "-p", "2"], "--seq"),
+        (&["schedule", F, "-p", "2"], "--seed"),
+        (&["schedule", F, "-p", "2"], "--cap"),
+        (&["schedule", F], "--speeds"),
+        (&["schedule", F, "-p", "2"], "--domains"),
+        (&["schedule", F, "-p", "2"], "--comm"),
+        (&["schedule", F, "-p", "2"], "--ordering"),
+        (&["schedule", F, "-p", "2"], "--amalg"),
+        (&["serve"], "--workers"),
+        (&["serve"], "--speeds"),
+        (&["serve"], "--domains"),
+        (&["serve"], "--comm"),
+        (&["serve"], "--metrics-out"),
+        (&["serve"], "--listen"),
+        (&["serve", "--stdio"], "--accept"),
+        (&["serve", "--stdio"], "--inflight"),
+        (&["pareto", F], "-p"),
+        (&["pareto", F], "--speeds"),
+        (&["pareto", F, "-p", "2"], "--domains"),
+        (&["campaign"], "--spec"),
+        (&["campaign"], "--preset"),
+        (&["campaign"], "--name"),
+        (&["campaign"], "--scale"),
+        (&["campaign"], "--trees"),
+        (&["campaign"], "--trees-file"),
+        (&["campaign"], "--procs"),
+        (&["campaign"], "--schedulers"),
+        (&["campaign"], "--cap-factor"),
+        (&["campaign"], "--seq"),
+        (&["campaign"], "--seed"),
+        (&["campaign"], "--metrics"),
+        (&["campaign"], "--time-reps"),
+        (&["campaign"], "--compare"),
+        (&["campaign"], "--tolerance"),
+        (&["campaign"], "--speeds"),
+        (&["campaign"], "--domains"),
+        (&["campaign"], "--comm"),
+        (&["campaign"], "--workers"),
+        (&["tree", "stat", F], "--ordering"),
+        (&["tree", "stat", F], "--amalg"),
+        (&["tree", "convert", F], "-o"),
+        (&["tree", "convert", F], "--to"),
+        (&["tree", "prune", F, "1"], "--to"),
+        (&["tree", "subtree", F, "1"], "--to"),
+        (&["tree", "reroot", F, "1"], "--to"),
+        (&["tree", "to-dot", F], "-o"),
+        (&["tree", "to-requests", F], "--procs"),
+        (&["tree", "to-requests", F], "--tree-out"),
+        (&["tree", "to-requests", F], "--scheduler"),
+        (&["tree", "to-requests", F], "--seq"),
+        (&["tree", "to-requests", F], "--seed"),
+        (&["tree", "to-requests", F], "--cap"),
+        (&["tree", "to-requests", F], "--prefix"),
+    ];
+    for (head, flag) in missing {
+        let args = [head, &[*flag][..]].concat();
+        let e = err(&args);
+        assert_eq!(e.code, 2, "{args:?}: {}", e.message);
+        assert!(e.message.contains(flag), "{args:?}: {}", e.message);
+    }
+    let unknown: &[&[&str]] = &[
+        &["stats"],
+        &["schedule", F, "-p", "2"],
+        &["serve"],
+        &["connect", "/nonexistent/treesched-usage.sock"],
+        &["metrics"],
+        &["campaign"],
+        &["dot"],
+        &["tree", "stat", F],
+        &["tree", "convert", F],
+        &["tree", "prune", F, "1"],
+        &["tree", "subtree", F, "1"],
+        &["tree", "reroot", F, "1"],
+        &["tree", "to-dot", F],
+        &["tree", "to-requests", F],
+    ];
+    for head in unknown {
+        let args = [head, &["--bogus"][..]].concat();
+        let e = err(&args);
+        assert_eq!(e.code, 2, "{args:?}: {}", e.message);
+        assert!(e.message.contains("--bogus"), "{args:?}: {}", e.message);
+    }
+}
+
 /// End-to-end through the real binary: process exit codes and stdio routing.
 mod process {
     use std::process::Command;
