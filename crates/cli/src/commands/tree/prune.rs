@@ -1,17 +1,16 @@
 //! `tree prune` — drop the subtrees rooted at the given node ids.
 
-use super::{emit, load_input, parse_common, OutFormat};
-use crate::commands::{parse_num, CliError};
+use super::{emit, load_input, OutFormat};
+use crate::args::parse_common;
+use crate::commands::parse_num;
+use crate::CliError;
 
 const USAGE: &str = "usage: treesched tree prune FILE ID.. [-o OUT] [--to v1|newick|dot] \
                      [--ordering K] [--amalg N]";
 
 pub(crate) fn execute(args: &[String]) -> Result<String, CliError> {
-    let common = parse_common(args, &["--to"], &[], USAGE)?;
-    let to = match common.value("--to") {
-        Some(v) => OutFormat::parse(v)?,
-        None => OutFormat::V1,
-    };
+    let common = parse_common(args, "-o --ordering --amalg --to", "", USAGE)?;
+    let to = OutFormat::parse(common.value("--to"))?;
     let Some((path, ids)) = common.positional.split_first() else {
         return Err(CliError::new(USAGE));
     };
@@ -24,5 +23,5 @@ pub(crate) fn execute(args: &[String]) -> Result<String, CliError> {
         .collect::<Result<_, _>>()?;
     let (tree, _) = load_input(path, common.ingest)?;
     let pruned = treesched_trees::prune(&tree, &roots).map_err(|e| CliError::new(e.to_string()))?;
-    emit(common.out_file.as_deref(), to.render(&pruned, path))
+    emit(common.value("-o"), to.render(&pruned, path))
 }

@@ -1,22 +1,21 @@
 //! `tree reroot` — re-hang the tree at a new root node.
 
-use super::{emit, load_input, parse_common, OutFormat};
-use crate::commands::{parse_num, CliError};
+use super::{emit, load_input, OutFormat};
+use crate::args::parse_common;
+use crate::commands::parse_num;
+use crate::CliError;
 
 const USAGE: &str = "usage: treesched tree reroot FILE ID [-o OUT] [--to v1|newick|dot] \
                      [--ordering K] [--amalg N]";
 
 pub(crate) fn execute(args: &[String]) -> Result<String, CliError> {
-    let common = parse_common(args, &["--to"], &[], USAGE)?;
-    let to = match common.value("--to") {
-        Some(v) => OutFormat::parse(v)?,
-        None => OutFormat::V1,
-    };
+    let common = parse_common(args, "-o --ordering --amalg --to", "", USAGE)?;
+    let to = OutFormat::parse(common.value("--to"))?;
     let [path, id] = common.positional.as_slice() else {
         return Err(CliError::new(USAGE));
     };
     let root: usize = parse_num(id, "node id")?;
     let (tree, _) = load_input(path, common.ingest)?;
     let hung = treesched_trees::reroot(&tree, root).map_err(|e| CliError::new(e.to_string()))?;
-    emit(common.out_file.as_deref(), to.render(&hung, path))
+    emit(common.value("-o"), to.render(&hung, path))
 }

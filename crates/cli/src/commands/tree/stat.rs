@@ -1,14 +1,15 @@
 //! `tree stat` — per-file statistics over any ingestible format.
 
-use super::{load_input, parse_common};
-use crate::commands::CliError;
+use super::load_input;
+use crate::args::parse_common;
+use crate::CliError;
 use std::fmt::Write as _;
 use treesched_model::TreeStats;
 
 const USAGE: &str = "usage: treesched tree stat FILE.. [--ordering K] [--amalg N]";
 
 pub(crate) fn execute(args: &[String]) -> Result<String, CliError> {
-    let common = parse_common(args, &[], &[], USAGE)?;
+    let common = parse_common(args, "-o --ordering --amalg", "", USAGE)?;
     if common.positional.is_empty() {
         return Err(CliError::new(USAGE));
     }

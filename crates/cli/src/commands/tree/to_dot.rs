@@ -1,14 +1,15 @@
 //! `tree to-dot` — styled Graphviz export of any ingestible tree.
 
-use super::{emit, load_input, parse_common};
-use crate::commands::CliError;
+use super::{emit, load_input};
+use crate::args::parse_common;
+use crate::CliError;
 use treesched_viz::{styled_dot, DotOptions};
 
 const USAGE: &str = "usage: treesched tree to-dot FILE [-o OUT] [--bare] \
                      [--ordering K] [--amalg N]";
 
 pub(crate) fn execute(args: &[String]) -> Result<String, CliError> {
-    let common = parse_common(args, &[], &["--bare"], USAGE)?;
+    let common = parse_common(args, "-o --ordering --amalg", "--bare", USAGE)?;
     let [path] = common.positional.as_slice() else {
         return Err(CliError::new(USAGE));
     };
@@ -20,5 +21,5 @@ pub(crate) fn execute(args: &[String]) -> Result<String, CliError> {
             weights_in_labels: !common.switch("--bare"),
         },
     );
-    emit(common.out_file.as_deref(), dot)
+    emit(common.value("-o"), dot)
 }

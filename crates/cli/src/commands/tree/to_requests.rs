@@ -5,8 +5,10 @@
 //! names where the v1 conversion is written (and what the requests point
 //! at).
 
-use super::{emit, load_input, parse_common};
-use crate::commands::{parse_num, write_file, CliError};
+use super::{emit, load_input};
+use crate::args::parse_common;
+use crate::commands::{parse_num, write_file};
+use crate::CliError;
 use treesched_core::SeqAlgo;
 use treesched_trees::{to_requests, Format, RequestOptions};
 
@@ -17,16 +19,8 @@ const USAGE: &str = "usage: treesched tree to-requests FILE [-o OUT] --procs LIS
 pub(crate) fn execute(args: &[String]) -> Result<String, CliError> {
     let common = parse_common(
         args,
-        &[
-            "--procs",
-            "--tree-out",
-            "--scheduler",
-            "--seq",
-            "--seed",
-            "--cap",
-            "--prefix",
-        ],
-        &[],
+        "-o --ordering --amalg --procs --tree-out --scheduler --seq --seed --cap --prefix",
+        "",
         USAGE,
     )?;
     let [path] = common.positional.as_slice() else {
@@ -79,5 +73,5 @@ pub(crate) fn execute(args: &[String]) -> Result<String, CliError> {
             )));
         }
     };
-    emit(common.out_file.as_deref(), to_requests(&tree_path, &opts))
+    emit(common.value("-o"), to_requests(&tree_path, &opts))
 }

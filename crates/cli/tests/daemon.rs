@@ -299,3 +299,68 @@ fn sigterm_drains_the_listening_daemon_and_flushes_metrics() {
     assert!(record.contains("\"responses_total\":5"), "{record}");
     assert!(record.contains("\"worker_lost_total\":0"), "{record}");
 }
+
+/// SIGTERM drains `serve --stdio` while its stdin stays open: the reader
+/// stops at a line boundary, every submitted line is answered, the
+/// `--metrics-out` snapshot flushes and conserves, and the process exits 0.
+#[cfg(unix)]
+#[test]
+fn sigterm_drains_the_stdio_daemon_with_stdin_open() {
+    use std::io::{BufRead as _, BufReader, Read as _};
+    let dir = fixture_dir("sigterm-stdio");
+    let metrics_file = dir.join("stdio.metrics.json");
+    let input = request_stream(&dir, "u");
+    let expected = serve_jsonl(&input, 2, None);
+
+    let mut daemon = Command::new(BIN)
+        .args(["serve", "--stdio", "--workers", "2", "--metrics-out"])
+        .arg(&metrics_file)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("stdio daemon spawns");
+    // the write end stays open until the end of the test: no EOF reaches
+    // the daemon, so only the signal can end the serve
+    let mut stdin = daemon.stdin.take().expect("piped stdin");
+    stdin.write_all(input.as_bytes()).unwrap();
+    stdin.flush().unwrap();
+    let mut stdout = BufReader::new(daemon.stdout.take().expect("piped stdout"));
+    let mut framed = String::new();
+    for _ in input.lines() {
+        stdout.read_line(&mut framed).expect("framed answer");
+    }
+
+    let term = Command::new("kill")
+        .args(["-TERM", &daemon.id().to_string()])
+        .status()
+        .expect("kill runs");
+    assert!(term.success());
+    // bounded wait: a drain that ignores the signal fails, never hangs
+    let status = (0..1000)
+        .find_map(|_| {
+            std::thread::sleep(Duration::from_millis(10));
+            daemon.try_wait().expect("daemon status")
+        })
+        .unwrap_or_else(|| {
+            let _ = daemon.kill();
+            panic!("stdio daemon ignored SIGTERM with stdin open")
+        });
+    let mut stderr = String::new();
+    let mut pipe = daemon.stderr.take().unwrap();
+    pipe.read_to_string(&mut stderr).unwrap();
+    assert!(status.success(), "exit after SIGTERM: {status:?}, {stderr}");
+    let mut rest = String::new();
+    stdout.read_to_string(&mut rest).unwrap();
+    assert_eq!(rest, "", "no answer beyond one per submitted line");
+    let got = treesched_transport::reorder(framed.lines()).expect("framed stream");
+    assert_eq!(got, expected, "sorted stdio stream is the batch stream");
+
+    // the final snapshot conserves: 5 lines (4 requests + 1 malformed)
+    // submitted, all 5 answered
+    let record = std::fs::read_to_string(&metrics_file).expect("metrics flushed");
+    assert!(record.contains("\"requests_total\":5,"), "{record}");
+    assert!(record.contains("\"responses_total\":5,"), "{record}");
+    assert!(record.contains("\"worker_lost_total\":0"), "{record}");
+    drop(stdin);
+}

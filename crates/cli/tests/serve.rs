@@ -113,8 +113,10 @@ fn daemon_stdio_stream_reordered_matches_the_batch_goldens() {
             treesched_core::SchedulerRegistry::standard(),
             DaemonConfig::default(),
         );
+        static NEVER: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+        let pipe = std::io::Cursor::new(input.clone().into_bytes());
         let (delivered, framed) =
-            serve_stdio(&daemon, input.as_bytes(), Vec::new(), true).expect("pipe serves");
+            serve_stdio(&daemon, pipe, Vec::new(), true, &NEVER).expect("pipe serves");
         let framed = String::from_utf8(framed).unwrap();
         assert_eq!(delivered as usize, framed.lines().count());
         let got = reorder(framed.lines()).expect("every streamed line is framed");

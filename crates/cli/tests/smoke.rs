@@ -120,99 +120,59 @@ fn malformed_flags_fail_cleanly() {
 }
 
 /// Every value flag of every subcommand, given last with its value
-/// missing, and every subcommand given an unknown flag: each is a usage
-/// error (exit 2) whose message names the offending argument.
+/// missing, and every subcommand given an unknown flag (`--bogus`): each
+/// is a usage error (exit 2) whose message names the offending argument.
+/// `F` stands for a missing tree file.
 #[test]
 fn usage_errors_name_the_offending_argument() {
-    const F: &str = "/nonexistent/treesched-usage.tree";
-    let missing: &[(&[&str], &str)] = &[
-        (&["gen", "fork", "2", "3"], "-o"),
-        (&["sketch", F], "--max"),
-        (&["seq", F], "--algo"),
-        (&["schedule", F], "-p"),
-        (&["schedule", F, "-p", "2"], "--scheduler"),
-        (&["schedule", F, "-p", "2"], "--heuristic"),
-        (&["schedule", F, "-p", "2"], "--seq"),
-        (&["schedule", F, "-p", "2"], "--seed"),
-        (&["schedule", F, "-p", "2"], "--cap"),
-        (&["schedule", F], "--speeds"),
-        (&["schedule", F, "-p", "2"], "--domains"),
-        (&["schedule", F, "-p", "2"], "--comm"),
-        (&["schedule", F, "-p", "2"], "--ordering"),
-        (&["schedule", F, "-p", "2"], "--amalg"),
-        (&["serve"], "--workers"),
-        (&["serve"], "--speeds"),
-        (&["serve"], "--domains"),
-        (&["serve"], "--comm"),
-        (&["serve"], "--metrics-out"),
-        (&["serve"], "--listen"),
-        (&["serve", "--stdio"], "--accept"),
-        (&["serve", "--stdio"], "--inflight"),
-        (&["pareto", F], "-p"),
-        (&["pareto", F], "--speeds"),
-        (&["pareto", F, "-p", "2"], "--domains"),
-        (&["campaign"], "--spec"),
-        (&["campaign"], "--preset"),
-        (&["campaign"], "--name"),
-        (&["campaign"], "--scale"),
-        (&["campaign"], "--trees"),
-        (&["campaign"], "--trees-file"),
-        (&["campaign"], "--procs"),
-        (&["campaign"], "--schedulers"),
-        (&["campaign"], "--cap-factor"),
-        (&["campaign"], "--seq"),
-        (&["campaign"], "--seed"),
-        (&["campaign"], "--metrics"),
-        (&["campaign"], "--time-reps"),
-        (&["campaign"], "--compare"),
-        (&["campaign"], "--tolerance"),
-        (&["campaign"], "--speeds"),
-        (&["campaign"], "--domains"),
-        (&["campaign"], "--comm"),
-        (&["campaign"], "--workers"),
-        (&["tree", "stat", F], "--ordering"),
-        (&["tree", "stat", F], "--amalg"),
-        (&["tree", "convert", F], "-o"),
-        (&["tree", "convert", F], "--to"),
-        (&["tree", "prune", F, "1"], "--to"),
-        (&["tree", "subtree", F, "1"], "--to"),
-        (&["tree", "reroot", F, "1"], "--to"),
-        (&["tree", "to-dot", F], "-o"),
-        (&["tree", "to-requests", F], "--procs"),
-        (&["tree", "to-requests", F], "--tree-out"),
-        (&["tree", "to-requests", F], "--scheduler"),
-        (&["tree", "to-requests", F], "--seq"),
-        (&["tree", "to-requests", F], "--seed"),
-        (&["tree", "to-requests", F], "--cap"),
-        (&["tree", "to-requests", F], "--prefix"),
+    let missing = [
+        ("gen fork 2 3", "-o"),
+        ("sketch F", "--max"),
+        ("seq F", "--algo"),
+        ("schedule F", "-p --speeds"),
+        (
+            "schedule F -p 2",
+            "--scheduler --heuristic --seq --seed --cap --domains --comm --ordering --amalg",
+        ),
+        (
+            "serve",
+            "--workers --speeds --domains --comm --metrics-out --listen",
+        ),
+        ("serve --stdio", "--accept --inflight"),
+        ("pareto F", "-p --speeds"),
+        ("pareto F -p 2", "--domains"),
+        (
+            "campaign",
+            "--spec --preset --name --scale --trees --trees-file --procs --schedulers \
+             --cap-factor --seq --seed --metrics --time-reps --compare --tolerance \
+             --speeds --domains --comm --workers",
+        ),
+        ("tree stat F", "--ordering --amalg"),
+        ("tree convert F", "-o --to"),
+        ("tree prune F 1", "--to"),
+        ("tree subtree F 1", "--to"),
+        ("tree reroot F 1", "--to"),
+        ("tree to-dot F", "-o"),
+        (
+            "tree to-requests F",
+            "--procs --tree-out --scheduler --seq --seed --cap --prefix",
+        ),
     ];
-    for (head, flag) in missing {
-        let args = [head, &[*flag][..]].concat();
+    // each head also takes an unknown flag, as do the subcommands that
+    // declare no value flag
+    let cases = missing
+        .iter()
+        .flat_map(|(head, flags)| {
+            let flags = flags.split_whitespace().chain(["--bogus"]);
+            flags.map(move |f| (*head, f))
+        })
+        .chain(["stats", "schedulers", "connect F", "metrics", "dot"].map(|h| (h, "--bogus")));
+    for (head, flag) in cases {
+        let line = format!("{} {flag}", head.replace('F', "/nonexistent/usage.tree"));
+        let args: Vec<&str> = line.split_whitespace().collect();
         let e = err(&args);
         assert_eq!(e.code, 2, "{args:?}: {}", e.message);
         assert!(e.message.contains(flag), "{args:?}: {}", e.message);
-    }
-    let unknown: &[&[&str]] = &[
-        &["stats"],
-        &["schedule", F, "-p", "2"],
-        &["serve"],
-        &["connect", "/nonexistent/treesched-usage.sock"],
-        &["metrics"],
-        &["campaign"],
-        &["dot"],
-        &["tree", "stat", F],
-        &["tree", "convert", F],
-        &["tree", "prune", F, "1"],
-        &["tree", "subtree", F, "1"],
-        &["tree", "reroot", F, "1"],
-        &["tree", "to-dot", F],
-        &["tree", "to-requests", F],
-    ];
-    for head in unknown {
-        let args = [head, &["--bogus"][..]].concat();
-        let e = err(&args);
-        assert_eq!(e.code, 2, "{args:?}: {}", e.message);
-        assert!(e.message.contains("--bogus"), "{args:?}: {}", e.message);
     }
 }
 
@@ -248,6 +208,43 @@ mod process {
             assert!(out.stdout.is_empty(), "{args:?}: error leaked to stdout");
             assert!(!out.stderr.is_empty(), "{args:?}: empty stderr");
         }
+    }
+
+    /// Every generator one below each parameter's minimum is a usage
+    /// error naming the parameter (exit 2, never a panic's 101); at the
+    /// minimum it generates a tree.
+    #[test]
+    fn gen_checks_every_generator_minimum() {
+        for (below, at, param) in [
+            ("chain 0", "chain 1", "N"),
+            ("complete 0 2", "complete 1 0", "ARITY"),
+            ("random 0 1", "random 1 1", "N"),
+            ("deep 0 1", "deep 1 1", "N"),
+            ("caterpillar 0 2", "caterpillar 1 0", "SPINE"),
+            ("spider 0 3", "spider 1 1", "LEGS"),
+            ("spider 1 0", "spider 1 1", "LEN"),
+            ("inapprox 0 2", "inapprox 1 2", "N"),
+            ("inapprox 1 1", "inapprox 1 2", "DELTA"),
+            ("gadget 1 2", "gadget 2 2", "P"),
+            ("gadget 2 1", "gadget 2 2", "K"),
+            ("longchain 0 1", "longchain 1 1", "C"),
+            ("longchain 1 0", "longchain 1 1", "LEN"),
+            ("assembly rand 1 1", "assembly rand 2 1", "SIZE"),
+            ("assembly grid2d 0 1", "assembly grid2d 1 1", "SIZE"),
+            ("assembly grid3d 0 1", "assembly grid3d 1 1", "SIZE"),
+            ("assembly band 0 1", "assembly band 1 1", "SIZE"),
+            ("assembly rand 5 0", "assembly rand 5 1", "AMALG"),
+        ] {
+            let gen =
+                |params: &str| treesched(&format!("gen {params}").split(' ').collect::<Vec<_>>());
+            let out = gen(below);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{below}: {stderr}");
+            assert!(stderr.contains(param), "{below}: {stderr}");
+            assert_eq!(gen(at).status.code(), Some(0), "{at}");
+        }
+        // the fork has no minimum
+        assert!(treesched(&["gen", "fork", "0", "0"]).status.success());
     }
 
     #[test]

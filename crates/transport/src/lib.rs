@@ -23,12 +23,12 @@
 //!   ([`serve_stdio`], the `serve --stdio` loop) and a Unix-domain socket
 //!   ([`listen_unix`] / [`connect_unix`], the `serve --listen` /
 //!   `connect` pair).
-//! * **Graceful drain** — the stoppable transport variants
-//!   ([`listen_unix_stoppable`], [`serve_stdio_stoppable`]) watch an
-//!   atomic stop flag (wired to SIGTERM by [`signal::term_flag`] in the
-//!   CLI): on stop they take no new work, answer everything already
-//!   submitted, and return so the process can flush a final metrics
-//!   snapshot and exit 0.
+//! * **Graceful drain** — both transports ([`listen_unix`],
+//!   [`serve_stdio`]) watch an atomic stop flag (wired to SIGTERM by
+//!   [`signal::term_flag`] in the CLI): on stop they take no new work,
+//!   answer everything already submitted, and return so the process can
+//!   flush a final metrics snapshot and exit 0. Both run on one
+//!   per-connection pump.
 //! * **Observability** — every daemon carries a
 //!   [`treesched_obs::MetricsRegistry`]; clients fetch a live snapshot
 //!   in-band with a `{"op":"metrics"}` request line, embedders with
@@ -67,5 +67,5 @@ pub use daemon::{serve_batch, ClientHandle, Daemon, DaemonConfig, Submitter};
 pub use frame::{frame, reorder, unframe};
 pub use proto::{default_scheduler, RequestParser};
 #[cfg(unix)]
-pub use socket::{connect_unix, listen_unix, listen_unix_stoppable, ListenOptions};
-pub use stdio::{serve_stdio, serve_stdio_stoppable};
+pub use socket::{connect_unix, listen_unix, ListenOptions};
+pub use stdio::serve_stdio;

@@ -1,6 +1,6 @@
 //! The per-connection pump shared by every byte-stream transport: a
-//! reader loop (the calling thread) feeding the [`Submitter`], and a
-//! writer thread forwarding framed responses as they complete.
+//! detached reader thread feeding the [`Submitter`](crate::Submitter),
+//! and the calling thread writing framed responses as they complete.
 
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -12,75 +12,28 @@ use crate::daemon::ClientHandle;
 
 /// Streams one connection: reads JSONL request lines from `input` until
 /// EOF, submits each (blocking on the in-flight budget when `block`,
-/// shedding typed `Overloaded` records otherwise), and concurrently
-/// writes every framed response to `output` the moment it completes.
+/// shedding typed `Overloaded` records otherwise), and writes every framed
+/// response to `output` the moment it completes.
 ///
 /// Returns once EOF has been read **and** every submitted line has been
 /// answered (or the peer hung up): the delivered-response count plus the
 /// output handle, so callers can close or inspect it.
-pub(crate) fn pump<W: Write + Send + 'static>(
-    client: ClientHandle,
-    input: impl BufRead,
-    output: W,
-    block: bool,
-) -> std::io::Result<(u64, W)> {
-    let (mut submitter, responses) = client.split();
-    // total submissions, unknown (u64::MAX) until the reader hits EOF;
-    // the writer exits when it has delivered exactly that many
-    let total = Arc::new(AtomicU64::new(u64::MAX));
-    let writer_total = Arc::clone(&total);
-    let writer = std::thread::spawn(move || {
-        let mut output = output;
-        let mut delivered = 0u64;
-        loop {
-            match responses.recv_timeout(Duration::from_millis(25)) {
-                Ok(line) => {
-                    let sent = output
-                        .write_all(line.as_bytes())
-                        .and_then(|()| output.flush());
-                    if sent.is_err() {
-                        break; // peer hung up; responses stop here
-                    }
-                    delivered += 1;
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-            if writer_total.load(Ordering::Acquire) == delivered {
-                break;
-            }
-        }
-        (delivered, output)
-    });
-    let mut lineno = 0usize;
-    for line in input.lines() {
-        lineno += 1; // physical line number, blank lines included
-        let Ok(line) = line else { break }; // a broken read side is EOF
-        submitter.submit_line(lineno, &line, block);
-    }
-    total.store(submitter.submitted(), Ordering::Release);
-    writer
-        .join()
-        .map_err(|_| std::io::Error::other("response writer panicked"))
-}
-
-/// As [`pump`], but drains gracefully when `stop` latches: the reader
-/// stops consuming lines at the next line boundary, every line already
-/// submitted is answered, and the call returns the delivered count.
 ///
-/// The thread layout is inverted from [`pump`] so the *writer* owns the
-/// calling thread: the reader runs detached, because a reader blocked in
-/// a `read` syscall (an idle stdin pipe, say) cannot be interrupted from
-/// safe code — on stop it is simply left behind and the process exits
-/// around it. Transports that *can* force the read side to EOF (socket
-/// `shutdown(Read)`) get a prompt drain; stdio gets a bounded one.
-pub(crate) fn pump_stoppable<R: BufRead + Send + 'static, W: Write>(
+/// Drains gracefully when `stop` latches: the reader stops consuming lines
+/// at the next line boundary, every line already submitted is answered,
+/// and the call returns. The reader runs detached because a reader
+/// blocked in a `read` syscall (an idle stdin pipe, say) cannot be
+/// interrupted from safe code — on stop it is simply left behind and the
+/// process exits around it. Transports that *can* force the read side to
+/// EOF (socket `shutdown(Read)`) get a prompt drain; stdio gets a bounded
+/// one.
+pub(crate) fn pump<R: BufRead + Send + 'static, W: Write>(
     client: ClientHandle,
     input: R,
     mut output: W,
     block: bool,
     stop: &'static AtomicBool,
-) -> std::io::Result<u64> {
+) -> std::io::Result<(u64, W)> {
     let (mut submitter, responses) = client.split();
     // total submissions, unknown (u64::MAX) until the reader hits EOF or
     // observes stop; `so_far` trails it for the stop-drain cutoff
@@ -95,7 +48,7 @@ pub(crate) fn pump_stoppable<R: BufRead + Send + 'static, W: Write>(
                 break;
             }
             lineno += 1; // physical line number, blank lines included
-            let Ok(line) = line else { break };
+            let Ok(line) = line else { break }; // a broken read side is EOF
             submitter.submit_line(lineno, &line, block);
             reader_so_far.store(submitter.submitted(), Ordering::Release);
         }
@@ -135,5 +88,5 @@ pub(crate) fn pump_stoppable<R: BufRead + Send + 'static, W: Write>(
             break;
         }
     }
-    Ok(delivered)
+    Ok((delivered, output))
 }

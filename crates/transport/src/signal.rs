@@ -4,13 +4,13 @@
 //!
 //! The handler does the only async-signal-safe thing a drain needs: it
 //! sets a process-wide [`AtomicBool`]. Transports poll the flag between
-//! blocking steps ([`crate::listen_unix_stoppable`],
-//! [`crate::serve_stdio_stoppable`]) and wind down on their own
-//! schedule: stop accepting, answer everything in flight, exit cleanly.
+//! blocking steps ([`crate::listen_unix`], [`crate::serve_stdio`]) and
+//! wind down on their own schedule: stop accepting, answer everything in
+//! flight, exit cleanly.
 //!
 //! Tests (and embedders that manage signals themselves) drive the same
 //! drain paths by passing their own flag — nothing here is required for
-//! the stoppable transports to work.
+//! the transports to work.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -35,10 +35,4 @@ pub fn term_flag() -> &'static AtomicBool {
         signal(SIGTERM, on_term as extern "C" fn(i32) as usize);
     }
     &TERM
-}
-
-/// Whether SIGTERM has been received since [`term_flag`] installed the
-/// handler.
-pub fn term_requested() -> bool {
-    TERM.load(Ordering::SeqCst)
 }

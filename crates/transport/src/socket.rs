@@ -47,18 +47,13 @@ impl Default for ListenOptions {
 /// over `daemon` until the accept budget is spent. Each connection runs
 /// on its own thread; the call returns — with the number of connections
 /// served — once every accepted connection has completed.
-pub fn listen_unix(daemon: &Daemon, path: &Path, options: ListenOptions) -> std::io::Result<u64> {
-    static NEVER: AtomicBool = AtomicBool::new(false);
-    listen_unix_stoppable(daemon, path, options, &NEVER)
-}
-
-/// As [`listen_unix`], but drains gracefully when `stop` latches (a
-/// SIGTERM flag from [`crate::signal::term_flag`], or any test-owned
-/// atomic): the listener stops accepting, every open connection's read
-/// side is shut down so its pump sees EOF, and the call returns — with
-/// the connection count — once every already-submitted line has been
-/// answered and flushed.
-pub fn listen_unix_stoppable(
+///
+/// Drains gracefully when `stop` latches (a SIGTERM flag from
+/// [`crate::signal::term_flag`], or any test-owned atomic): the listener
+/// stops accepting, every open connection's read side is shut down so its
+/// pump sees EOF, and the call returns once every already-submitted line
+/// has been answered and flushed.
+pub fn listen_unix(
     daemon: &Daemon,
     path: &Path,
     options: ListenOptions,
@@ -113,13 +108,15 @@ pub fn listen_unix_stoppable(
 
 /// Serves one accepted connection: socket lines in, framed responses out,
 /// then a write-side shutdown so the client sees EOF after its last
-/// response.
+/// response. A stop reaches the connection as that read-side EOF, so its
+/// pump watches no flag of its own.
 fn handle_conn(stream: UnixStream, client: ClientHandle, block: bool) {
+    static NEVER: AtomicBool = AtomicBool::new(false);
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
     let reader = BufReader::new(stream);
-    if let Ok((_delivered, write_half)) = pump(client, reader, write_half, block) {
+    if let Ok((_delivered, write_half)) = pump(client, reader, write_half, block, &NEVER) {
         let _ = write_half.shutdown(std::net::Shutdown::Write);
     }
 }
@@ -183,6 +180,9 @@ mod tests {
     use std::time::Duration;
     use treesched_core::SchedulerRegistry;
 
+    /// The stop flag of the tests that run to their accept budget: never set.
+    static NEVER: AtomicBool = AtomicBool::new(false);
+
     fn socket_path(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("treesched-{tag}-{}.sock", std::process::id()))
     }
@@ -215,6 +215,7 @@ mod tests {
                         accept: Some(2),
                         ..ListenOptions::default()
                     },
+                    &NEVER,
                 )
             });
             let clients: Vec<_> = ["sa", "sb"]
@@ -250,8 +251,8 @@ mod tests {
         let daemon = Daemon::new(SchedulerRegistry::standard(), DaemonConfig::default());
         let stop = AtomicBool::new(false);
         std::thread::scope(|scope| {
-            let listener = scope
-                .spawn(|| listen_unix_stoppable(&daemon, &path, ListenOptions::default(), &stop));
+            let listener =
+                scope.spawn(|| listen_unix(&daemon, &path, ListenOptions::default(), &stop));
             let mut conn = None;
             for _ in 0..200 {
                 match UnixStream::connect(&path) {
@@ -301,6 +302,7 @@ mod tests {
                         accept: Some(1),
                         ..ListenOptions::default()
                     },
+                    &NEVER,
                 )
             });
             let input = stream("raw");

@@ -6,6 +6,7 @@
 //! for the cost of spawning one child.
 
 use std::io::{BufRead, Write};
+use std::sync::atomic::AtomicBool;
 
 use crate::daemon::Daemon;
 use crate::pump::pump;
@@ -16,31 +17,22 @@ use crate::pump::pump;
 /// (backpressure through the pipe); without it, excess lines are answered
 /// immediately with typed `Overloaded` records.
 ///
+/// Drains gracefully when `stop` latches (a SIGTERM flag from
+/// [`crate::signal::term_flag`], or any test-owned atomic): no further
+/// lines are consumed past the next line boundary, every line already
+/// submitted is answered and flushed, and the call returns. A reader
+/// blocked on an idle pipe is left behind (it cannot be interrupted from
+/// safe code), which is why the input must be `Send + 'static`.
+///
 /// Returns the number of responses delivered and the output handle.
-pub fn serve_stdio<W: Write + Send + 'static>(
-    daemon: &Daemon,
-    input: impl BufRead,
-    output: W,
-    block: bool,
-) -> std::io::Result<(u64, W)> {
-    pump(daemon.client(), input, output, block)
-}
-
-/// As [`serve_stdio`], but drains gracefully when `stop` latches (a
-/// SIGTERM flag from [`crate::signal::term_flag`], or any test-owned
-/// atomic): no further lines are consumed past the next line boundary,
-/// every line already submitted is answered and flushed, and the call
-/// returns the delivered count. A reader blocked on an idle pipe is left
-/// behind (it cannot be interrupted from safe code), which is why the
-/// input must be `Send + 'static` here.
-pub fn serve_stdio_stoppable(
+pub fn serve_stdio<W: Write>(
     daemon: &Daemon,
     input: impl BufRead + Send + 'static,
-    output: impl Write,
+    output: W,
     block: bool,
-    stop: &'static std::sync::atomic::AtomicBool,
-) -> std::io::Result<u64> {
-    crate::pump::pump_stoppable(daemon.client(), input, output, block, stop)
+    stop: &'static AtomicBool,
+) -> std::io::Result<(u64, W)> {
+    pump(daemon.client(), input, output, block, stop)
 }
 
 #[cfg(test)]
@@ -50,12 +42,16 @@ mod tests {
     use crate::testutil::{batch_reference, stream};
     use treesched_core::SchedulerRegistry;
 
+    /// The stop flag of the tests that run to EOF: never set.
+    static NEVER: AtomicBool = AtomicBool::new(false);
+
     #[test]
     fn stdio_stream_reordered_matches_the_batch_output() {
         let input = stream("stdio");
         let daemon = Daemon::new(SchedulerRegistry::standard(), DaemonConfig::default());
+        let pipe = std::io::Cursor::new(input.clone().into_bytes());
         let (delivered, out) =
-            serve_stdio(&daemon, input.as_bytes(), Vec::new(), true).expect("pipe serves");
+            serve_stdio(&daemon, pipe, Vec::new(), true, &NEVER).expect("pipe serves");
         assert_eq!(delivered, input.lines().count() as u64);
         let framed = String::from_utf8(out).unwrap();
         let got = crate::frame::reorder(framed.lines()).expect("every line framed");
@@ -65,7 +61,7 @@ mod tests {
     #[test]
     fn stoppable_stdio_drains_submitted_lines_without_eof() {
         use std::io::Read;
-        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::atomic::Ordering;
         use std::sync::{mpsc, Arc, Mutex};
         use std::time::Duration;
 
@@ -110,7 +106,8 @@ mod tests {
         let view = sink.clone();
         let served = std::thread::spawn(move || {
             let daemon = Daemon::new(SchedulerRegistry::standard(), DaemonConfig::default());
-            serve_stdio_stoppable(&daemon, std::io::BufReader::new(held), sink, true, stop)
+            serve_stdio(&daemon, std::io::BufReader::new(held), sink, true, stop)
+                .map(|(delivered, _)| delivered)
         });
         // wait until every line is answered, then latch stop: the input
         // never reaches EOF, so only the drain path can end the serve
@@ -142,7 +139,7 @@ mod tests {
     fn stdio_blank_lines_and_eof_terminate_cleanly() {
         let daemon = Daemon::new(SchedulerRegistry::standard(), DaemonConfig::default());
         let (delivered, out) =
-            serve_stdio(&daemon, "\n  \n".as_bytes(), Vec::new(), true).expect("serves");
+            serve_stdio(&daemon, "\n  \n".as_bytes(), Vec::new(), true, &NEVER).expect("serves");
         assert_eq!(delivered, 0);
         assert!(out.is_empty());
     }
